@@ -7,7 +7,7 @@ from .admission import (
     LarcAdmission,
     make_admission,
 )
-from .base import CacheConfig, CachePolicy, Outcome, TrafficCounters, drive_stream
+from .base import CacheConfig, CachePolicy, Outcome, TrafficCounters
 from .common import SetAssocPolicy
 from .partition import PartitionedCache, PartitionPlan, ReallocationStats
 from .dedup import ContentModel, DedupWriteThrough
@@ -38,7 +38,6 @@ __all__ = [
     "PartitionPlan",
     "PartitionedCache",
     "ReallocationStats",
-    "drive_stream",
     "SetAssocPolicy",
     "Nossd",
     "WriteThrough",

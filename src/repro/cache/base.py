@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from ..errors import ConfigError
 from ..flash.device import SSD
 from ..flash.geometry import FlashGeometry
-from ..raid.array import DiskOp, RAIDArray
+from ..raid.array import DiskOp, FastAccounting, RAIDArray
 from ..traces.trace import Trace
 from ..units import DEFAULT_PAGE_SIZE
 
@@ -169,6 +169,9 @@ class CachePolicy(ABC):
     def __init__(self, config: CacheConfig, raid: RAIDArray) -> None:
         self.config = config
         self.raid = raid
+        #: Where RAID data I/O goes: the array itself, or a counter-only
+        #: sink while :meth:`process_trace` runs on a healthy array.
+        self.io: RAIDArray | FastAccounting = raid
         self.stats = TrafficCounters()
         # meta_pages is a derived property of the config; snapshot it once
         # so the per-access lpn arithmetic does not re-derive it.
@@ -225,39 +228,27 @@ class CachePolicy(ABC):
     def finish(self) -> None:
         """Flush background state at end of run (parity repairs etc.)."""
 
-    def process_trace(self, trace: Trace, vectorized: bool = False) -> TrafficCounters:
+    def process_trace(self, trace: Trace) -> TrafficCounters:
         """Run a whole trace through the policy and return the counters.
 
-        With ``vectorized=True`` the policy may take a columnar fast path
-        (batched classification, counter-only RAID accounting) when its
-        configuration allows; the fast path produces identical counters
-        and eviction behaviour, and any ineligible configuration falls
-        back to the scalar per-access loop automatically.
+        Only the counters survive the run, so on a healthy array the
+        policy's RAID data I/O goes to the array's counter-only sink
+        (:meth:`RAIDArray.fast_account`) instead of building member ops
+        nobody reads.  The counters, errors and eviction sequence are
+        those of the same accesses sent to the array one by one.
         """
-        if not (vectorized and self._process_columnar(trace)):
-            pages, is_read = trace.page_accesses()
-            drive_stream(self, pages.tolist(), is_read.tolist())
-        self.finish()
+        pages, is_read = trace.page_accesses()
+        self.io = self.raid.fast_account() or self.raid
+        try:
+            access = self.access
+            for lba, read in zip(pages.tolist(), is_read.tolist()):
+                access(lba, read)
+            self.finish()
+        finally:
+            self.io = self.raid
         return self.stats
-
-    def _process_columnar(self, trace: Trace) -> bool:
-        """Batched trace processing hook; return True if fully handled."""
-        return False
 
     # -- verification ------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Subclasses extend with their own structural checks."""
-
-
-def drive_stream(policy: CachePolicy, lbas, is_read) -> None:
-    """Feed a page-access stream through a policy's scalar state machine.
-
-    ``process_trace`` is a thin adapter over this driver, and the
-    multi-tenant serve driver (``repro.serve``) calls it per tenant
-    segment — both shapes share the exact per-access semantics.  The
-    inputs are parallel iterables of page LBAs and read flags.
-    """
-    access = policy.access
-    for lba, read in zip(lbas, is_read):
-        access(lba, read)

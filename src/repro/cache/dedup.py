@@ -159,7 +159,7 @@ class DedupWriteThrough(CachePolicy):
             self._ssd_read(1)
             return Outcome(hit=True, is_read=True, fg_ssd_reads=1)
         self.stats.read_misses += 1
-        ops = self.raid.read(lba)
+        ops = self.io.read(lba)
         out = Outcome(hit=False, is_read=True, fg_disk_ops=ops)
         # fill: dedup applies to fills too (identical content shares a page)
         wrote = self._insert_content(content)
@@ -178,7 +178,7 @@ class DedupWriteThrough(CachePolicy):
             self.stats.write_hits += 1
         else:
             self.stats.write_misses += 1
-        ops = self.raid.write(lba)  # write-through: full parity update
+        ops = self.io.write(lba)  # write-through: full parity update
         out = Outcome(hit=was_cached, is_read=False, fg_disk_ops=ops)
         if lba in self._source:
             self._deref(self._source[lba])

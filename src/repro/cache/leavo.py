@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..nvram.metabuffer import PageState
-from ..raid.array import FastAccounting, RAIDArray
+from ..raid.array import RAIDArray
 from .base import CacheConfig, Outcome
 from .common import SetAssocPolicy
 from .sets import CacheLine
@@ -78,7 +78,7 @@ class LeavO(SetAssocPolicy):
                 self.meta_pages + self.sets.lpn_of(line.set_idx, twin), "data"
             )
             self._meta_update()
-            ops = self.raid.write_without_parity_update(lba)
+            ops = self.io.write_without_parity_update(lba)
             out = Outcome(hit=True, is_read=False, fg_disk_ops=ops, bg_ssd_writes=1)
             self._maybe_clean(out)
             return out
@@ -91,14 +91,14 @@ class LeavO(SetAssocPolicy):
             return Outcome(
                 hit=True,
                 is_read=False,
-                fg_disk_ops=self.raid.write(lba),
+                fg_disk_ops=self.io.write(lba),
                 bg_ssd_writes=1,
             )
         self.sets.set_state(lba, PageState.OLD)
         line.aux = twin
         self._ssd_write(self.meta_pages + self.sets.lpn_of(line.set_idx, twin), "data")
         self._meta_update()
-        ops = self.raid.write_without_parity_update(lba)
+        ops = self.io.write_without_parity_update(lba)
         self._stale_order.setdefault(self.raid.layout.stripe_of(lba), None)
         out = Outcome(hit=True, is_read=False, fg_disk_ops=ops, bg_ssd_writes=1)
         self._maybe_clean(out)
@@ -106,51 +106,13 @@ class LeavO(SetAssocPolicy):
 
     def _write_miss(self, lba: int) -> Outcome:
         self.stats.write_misses += 1
-        disk_ops = self.raid.write(lba)
+        disk_ops = self.io.write(lba)
         out = Outcome(hit=False, is_read=False, fg_disk_ops=disk_ops)
         line = self._admit_and_alloc(lba, PageState.CLEAN)
         if line is not None:
             self._on_line_allocated(line, "data")
             out.bg_ssd_writes += 1
         return out
-
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        # write hits delay the parity update, which needs a parity level
-        return fast.delayed_ok
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204
-        # (cleaning's adopt_borrowed slot moves ride along via sets).
-        line = self.sets.lookup(lba)
-        if line is None:
-            self.stats.write_misses += 1
-            self._fast.write(1)
-            line = self._alloc_line(lba, PageState.CLEAN)
-            if line is not None:
-                self._on_line_allocated(line, "data")
-            return
-        self.stats.write_hits += 1
-        self.sets.touch(lba)
-        if line.state is PageState.OLD:
-            self.stats.data_writes += 1
-            self._meta_update()
-            self._fast.write_delayed(self.raid.layout.stripe_of(lba))
-            self._maybe_clean()
-            return
-        twin = self._acquire_twin_slot(line)
-        if twin is None:
-            self.stats.bypasses += 1
-            self.stats.data_writes += 1
-            self._fast.write(1)
-            return
-        self.sets.set_state(lba, PageState.OLD)
-        line.aux = twin
-        self.stats.data_writes += 1
-        self._meta_update()
-        stripe = self.raid.layout.stripe_of(lba)
-        self._fast.write_delayed(stripe)
-        self._stale_order.setdefault(stripe, None)
-        self._maybe_clean()
 
     def _acquire_twin_slot(self, line: CacheLine) -> int | None:
         slot = self.sets.borrow_slot(line.set_idx)
@@ -170,12 +132,10 @@ class LeavO(SetAssocPolicy):
         # each OLD line pins two slots (old + latest)
         return 2 * self.sets.count(PageState.OLD)
 
-    def _maybe_clean(self, out: Outcome | None = None) -> None:
+    def _maybe_clean(self, out: Outcome) -> None:
         limit = self.config.dirty_threshold * self.config.cache_pages
         if self._pinned_pages <= limit:
             return
-        if out is None:  # columnar fast path: background ops are discarded
-            out = Outcome(hit=False, is_read=False)
         target = self.config.low_watermark * self.config.cache_pages
         while self._stale_order and self._pinned_pages > target:
             stripe = next(iter(self._stale_order))

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from ..raid.array import RAIDArray
-from ..traces.trace import Trace
-from .base import CacheConfig, CachePolicy, Outcome
+from .base import CachePolicy, Outcome
 
 
 class Nossd(CachePolicy):
@@ -12,32 +10,10 @@ class Nossd(CachePolicy):
 
     name = "nossd"
 
-    def __init__(self, config: CacheConfig, raid: RAIDArray) -> None:
-        super().__init__(config, raid)
-
     def read(self, lba: int) -> Outcome:
         self.stats.read_misses += 1
-        return Outcome(hit=False, is_read=True, fg_disk_ops=self.raid.read(lba))
+        return Outcome(hit=False, is_read=True, fg_disk_ops=self.io.read(lba))
 
     def write(self, lba: int) -> Outcome:
         self.stats.write_misses += 1
-        return Outcome(hit=False, is_read=False, fg_disk_ops=self.raid.write(lba))
-
-    def _process_columnar(self, trace: Trace) -> bool:
-        # No cache state at all: on a healthy array the whole trace
-        # reduces to four counter additions.
-        if self.ssd is not None:
-            return False
-        fast = self.raid.fast_account()
-        if fast is None:
-            return False
-        pages, is_read = trace.page_accesses()
-        if len(pages) and int(pages.max()) >= self.raid.capacity_pages:
-            return False
-        nreads = int(is_read.sum())
-        nwrites = len(pages) - nreads
-        self.stats.read_misses += nreads
-        self.stats.write_misses += nwrites
-        fast.read(nreads)
-        fast.write(nwrites)
-        return True
+        return Outcome(hit=False, is_read=False, fg_disk_ops=self.io.write(lba))

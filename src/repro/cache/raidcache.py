@@ -98,7 +98,7 @@ class MirroredWriteBack(SetAssocPolicy):
         line = self._admit_and_alloc(lba, PageState.DIRTY)
         if line is None:
             return Outcome(
-                hit=False, is_read=False, fg_disk_ops=self.raid.write(lba)
+                hit=False, is_read=False, fg_disk_ops=self.io.write(lba)
             )
         self._on_line_allocated(line, "data")
         self._mirror(line)
@@ -117,7 +117,7 @@ class MirroredWriteBack(SetAssocPolicy):
 
     def _flush_and_drop(self, line: CacheLine) -> list:
         self._ssd_read(1)
-        ops = self.raid.write(line.lba)
+        ops = self.io.write(line.lba)
         if line.state is PageState.DIRTY:
             self._unmirror()
         self._drop_line(line)

@@ -75,10 +75,6 @@ class CacheSets:
         # so membership of a whole address batch can be classified with one
         # gather+compare (see classify()).
         self._lba_table = np.full((self.n_sets, self.ways), -1, dtype=np.int64)
-        #: Membership-mutation epoch: bumped by _membership_update exactly
-        #: when membership changes (alloc/remove), so batched
-        #: classifications can detect when a snapshot went stale.
-        self.mutations = 0
 
     @mutates_membership
     def _membership_update(
@@ -92,21 +88,15 @@ class CacheSets:
 
         Installs ``resident`` (an lba, or -1 for empty) into the mirror
         slot; when ``line`` is given the primary index changes in the
-        same step (inserted for ``resident >= 0``, removed for -1) and
-        the membership epoch is bumped.  Mirror-only calls
-        (``line=None``) move a resident lba between slots without
-        touching the index (see :meth:`adopt_borrowed`): membership is
-        unchanged and :meth:`classify` is position-independent, so the
-        epoch — which exists to invalidate membership *snapshots* —
-        deliberately stays put, keeping bulk hit runs alive across
-        stripe cleans.
+        same step (inserted for ``resident >= 0``, removed for -1).
+        Mirror-only calls (``line=None``) move a resident lba between
+        slots without touching the index (see :meth:`adopt_borrowed`).
         """
         if line is not None:
             if resident >= 0:
                 self._index[resident] = line
             else:
                 del self._index[line.lba]
-            self.mutations += 1
         self._lba_table[set_idx, slot] = resident
 
     # -- placement ----------------------------------------------------------
@@ -140,10 +130,10 @@ class CacheSets:
         """Batched hit/miss classification against the DAZ directory.
 
         Returns a boolean array: True where the address was resident at
-        call time.  The result is a *snapshot* — any alloc/remove (watch
-        :attr:`mutations`) invalidates it for the addresses that moved.
-        Addresses must not exceed :attr:`MAX_VECTOR_LBA` (the scalar
-        hash uses arbitrary-precision ints; the batch uses int64).
+        call time; any later alloc/remove invalidates it for the
+        addresses that moved.  Addresses must not exceed
+        :attr:`MAX_VECTOR_LBA` (the scalar hash uses arbitrary-precision
+        ints; the batch uses int64).
         """
         lbas = lbas.astype(np.int64, copy=False)
         rows = self._lba_table[self.set_of_batch(lbas)]

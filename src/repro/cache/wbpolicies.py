@@ -88,7 +88,7 @@ class OrderedWriteBack(WriteBack):
             lba, _ = self._order.popitem(last=False)
             line = self.sets.lookup(lba)
             if line is not None and line.state is PageState.DIRTY:
-                self.raid.write(lba)
+                self.io.write(lba)
                 self._ssd_read(1)
                 self.sets.set_state(lba, PageState.CLEAN)
         super().finish()

@@ -8,7 +8,6 @@ invalidating cached pages that get overwritten.
 
 from __future__ import annotations
 
-from ..raid.array import FastAccounting
 from .base import Outcome
 from .common import SetAssocPolicy
 
@@ -18,21 +17,8 @@ class WriteAround(SetAssocPolicy):
 
     name = "wa"
 
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        return True
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204.
-        self._fast.write(1)
-        line = self.sets.lookup(lba)
-        if line is not None:
-            self.stats.write_hits += 1
-            self._drop_line(line)
-        else:
-            self.stats.write_misses += 1
-
     def write(self, lba: int) -> Outcome:
-        disk_ops = self.raid.write(lba)
+        disk_ops = self.io.write(lba)
         line = self.sets.lookup(lba)
         if line is not None:
             # the cached copy is now stale: drop it

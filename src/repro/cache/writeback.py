@@ -10,7 +10,6 @@ RPO = 0.
 from __future__ import annotations
 
 from ..nvram.metabuffer import PageState
-from ..raid.array import FastAccounting
 from .base import Outcome
 from .common import SetAssocPolicy
 from .sets import CacheLine
@@ -20,26 +19,6 @@ class WriteBack(SetAssocPolicy):
     """Write-allocate, write-back with dirty-page flush on eviction."""
 
     name = "wb"
-
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        return True
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204.
-        line = self.sets.lookup(lba)
-        if line is not None:
-            self.stats.write_hits += 1
-            self.sets.touch(lba)
-            if line.state is not PageState.DIRTY:
-                self.sets.set_state(lba, PageState.DIRTY)
-            self.stats.data_writes += 1
-            return
-        self.stats.write_misses += 1
-        line = self._alloc_line(lba, PageState.DIRTY)
-        if line is None:
-            self._fast.write(1)
-            return
-        self._on_line_allocated(line, "data")
 
     def write(self, lba: int) -> Outcome:
         line = self.sets.lookup(lba)
@@ -54,7 +33,7 @@ class WriteBack(SetAssocPolicy):
         line = self._admit_and_alloc(lba, PageState.DIRTY)
         if line is None:
             # nothing evictable: fall back to a direct RAID write
-            return Outcome(hit=False, is_read=False, fg_disk_ops=self.raid.write(lba))
+            return Outcome(hit=False, is_read=False, fg_disk_ops=self.io.write(lba))
         self._on_line_allocated(line, "data")
         return Outcome(hit=False, is_read=False, bg_ssd_writes=1)
 
@@ -71,10 +50,7 @@ class WriteBack(SetAssocPolicy):
     def _flush_line(self, line: CacheLine) -> list:
         """Write a dirty page back to RAID (full parity update)."""
         self._ssd_read(1)
-        if self._fast is not None:  # columnar: same counters, no DiskOps
-            self._fast.write(1)
-            return []
-        return self.raid.write(line.lba)
+        return self.io.write(line.lba)
 
     def finish(self) -> None:
         """Flush every remaining dirty page (orderly shutdown)."""

@@ -10,7 +10,6 @@ stream (bad for flash endurance).
 from __future__ import annotations
 
 from ..nvram.metabuffer import PageState
-from ..raid.array import FastAccounting
 from .base import Outcome
 from .common import SetAssocPolicy
 
@@ -20,25 +19,8 @@ class WriteThrough(SetAssocPolicy):
 
     name = "wt"
 
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        return True
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204.
-        self._fast.write(1)
-        line = self.sets.lookup(lba)
-        if line is not None:
-            self.stats.write_hits += 1
-            self.sets.touch(lba)
-            self.stats.data_writes += 1
-            return
-        self.stats.write_misses += 1
-        line = self._alloc_line(lba, PageState.CLEAN)
-        if line is not None:
-            self._on_line_allocated(line, "data")
-
     def write(self, lba: int) -> Outcome:
-        disk_ops = self.raid.write(lba)
+        disk_ops = self.io.write(lba)
         line = self.sets.lookup(lba)
         if line is not None:
             self.stats.write_hits += 1

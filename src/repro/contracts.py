@@ -52,10 +52,8 @@ def mutates_membership(func: _F) -> _F:
 
     The decorated method is the *only* place allowed to write the
     membership directory pair of :class:`repro.cache.sets.CacheSets`
-    (``_index`` and its columnar mirror ``_lba_table``) and it must
-    bump the membership epoch (``mutations``) so batched classification
-    snapshots can detect staleness.  Both halves of the contract are
-    enforced by ``kdd-repro analyze`` (RPR201/RPR202).
+    (``_index`` and its columnar mirror ``_lba_table``), so the two can
+    never drift apart.  Enforced by ``kdd-repro analyze`` (RPR201).
     """
     func.__mutates_membership__ = True  # type: ignore[attr-defined]
     return func

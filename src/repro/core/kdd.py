@@ -43,7 +43,7 @@ from ..delta.packer import DELTA_HEADER_BYTES, pack_deltas
 from ..errors import CacheError, ConfigError
 from ..nvram.metabuffer import MappingEntry, PageState
 from ..nvram.staging import StagingBuffer
-from ..raid.array import FastAccounting, RAIDArray
+from ..raid.array import RAIDArray
 
 
 @dataclass(slots=True)
@@ -229,25 +229,6 @@ class KDD(SetAssocPolicy):
         self._ssd_read(1)
         return Outcome(hit=True, is_read=True, fg_ssd_reads=1)
 
-    def _read_hit_fast(self, line: CacheLine) -> None:
-        if line.state is PageState.OLD and line.aux.dez_lpn is not None:
-            self.stats.ssd_reads += 2
-        else:
-            self.stats.ssd_reads += 1
-
-    def _bulk_read_hits(self, lbas: list[int]) -> None:
-        self.stats.read_hits += len(lbas)
-        sets = self.sets
-        reads = 0
-        for lba in lbas:
-            sets.touch(lba)
-            line = sets.lookup(lba)
-            if line.state is PageState.OLD and line.aux.dez_lpn is not None:
-                reads += 2
-            else:
-                reads += 1
-        self.stats.ssd_reads += reads
-
     # -- writes --------------------------------------------------------------------
 
     def write(self, lba: int) -> Outcome:
@@ -269,9 +250,9 @@ class KDD(SetAssocPolicy):
             # certainty, so writes fall back to immediate parity updates
             # until the rebuild completes (Section III-E).
             fg_disk_ops=(
-                self.raid.write(lba)
+                self.io.write(lba)
                 if self.raid.degraded
-                else self.raid.write_without_parity_update(lba)
+                else self.io.write_without_parity_update(lba)
             ),
             fg_compute=self.compress_time,
         )
@@ -301,7 +282,7 @@ class KDD(SetAssocPolicy):
 
     def _write_miss(self, lba: int) -> Outcome:
         self.stats.write_misses += 1
-        out = Outcome(hit=False, is_read=False, fg_disk_ops=self.raid.write(lba))
+        out = Outcome(hit=False, is_read=False, fg_disk_ops=self.io.write(lba))
         line = self._admit_and_alloc(lba, PageState.CLEAN)
         if line is not None:
             self._on_line_allocated(line, "data")
@@ -309,46 +290,9 @@ class KDD(SetAssocPolicy):
         self._maybe_clean(out)
         return out
 
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        # write hits delay the parity update, which needs a parity level
-        return fast.delayed_ok
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204 across
-        # the full staging/mlog/cleaning closure.
-        line = self.sets.lookup(lba)
-        if line is None:
-            self.stats.write_misses += 1
-            self._fast.write(1)
-            line = self._alloc_line(lba, PageState.CLEAN)
-            if line is not None:
-                self._on_line_allocated(line, "data")
-            self._maybe_clean()
-            return
-        self.stats.write_hits += 1
-        self.sets.touch(lba)
-        size = min(self.delta_model.sample_size(), self._max_delta)
-        stripe = lba // self.raid.layout.stripe_data_pages
-        self._fast.write_delayed(stripe)
-        self.stats.ssd_reads += 1
-        self._stale_order.setdefault(stripe, None)
-        if line.state is PageState.CLEAN:
-            self.sets.set_state(lba, PageState.OLD)
-            line.aux = DeltaRef(size=size)
-            self._stage_delta(lba, size)
-        else:
-            ref: DeltaRef = line.aux
-            # Same crash-safe supersede order as the scalar write().
-            if self._stage_delta(lba, size):
-                if ref.dez_lpn is not None:
-                    self._invalidate_dez_delta(lba, ref)
-                ref.size = size
-                ref.dez_lpn = None
-        self._maybe_clean()
-
     # -- staging and the Delta Zone ----------------------------------------------
 
-    def _stage_delta(self, lba: int, size: int, out: Outcome | None = None) -> bool:
+    def _stage_delta(self, lba: int, size: int, out: Outcome) -> bool:
         """Put one delta into NVRAM, committing a DEZ page first if needed.
 
         Returns whether the delta was actually staged — False when the
@@ -370,9 +314,7 @@ class KDD(SetAssocPolicy):
         self.staging.put(lba, size)
         return True
 
-    def _commit_staging(
-        self, out: Outcome | None = None, exclude: int | None = None
-    ) -> None:
+    def _commit_staging(self, out: Outcome, exclude: int | None = None) -> None:
         """Compact all staged deltas into DEZ pages and flush them.
 
         With the default one-page staging buffer everything fits one DEZ
@@ -385,8 +327,6 @@ class KDD(SetAssocPolicy):
         items = self.staging.begin_flush(exclude=exclude)
         if not items:
             return
-        if out is None:  # columnar fast path: background ops are discarded
-            out = Outcome(hit=False, is_read=False)
         # greedy first-fit grouping into page-sized DEZ commits
         groups: list[list] = [[]]
         used = 0
@@ -502,11 +442,9 @@ class KDD(SetAssocPolicy):
         """Old + delta pages: what cleaning is triggered on."""
         return self.sets.count(PageState.OLD) + self.sets.dez_pages
 
-    def _maybe_clean(self, out: Outcome | None = None) -> None:
+    def _maybe_clean(self, out: Outcome) -> None:
         if self.dirty_pages <= self._dirty_limit:
             return
-        if out is None:  # columnar fast path: background ops are discarded
-            out = Outcome(hit=False, is_read=False)
         target = self._clean_target
         while self._stale_order and self.dirty_pages > target:
             stripe = next(iter(self._stale_order))

@@ -18,9 +18,7 @@ RPR109     imported name never used
 RPR110     dead public symbol (opt-in, ``--dead-code``)
 RPR111     serve-layer RNG stream seed is not sha256-derived
 RPR201     membership state written outside a choke point
-RPR202     ``@mutates_membership`` method never bumps the epoch
 RPR203     batch reader may write membership state
-RPR204     fast-path write-set exceeds scalar write-set + delta surface
 RPR205     sweep-worker-reachable code mutates module-level state
 RPR206     ``lru_cache`` on sweep-worker-reachable code (unallowlisted)
 RPR207     power-failure recovery reads outside the crash-surviving surface

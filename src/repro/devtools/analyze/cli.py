@@ -63,8 +63,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="kdd-repro analyze",
         description="Whole-program static analysis: layering contract, "
         "flow-sensitive unit/RNG taint, exception-flow verification, and "
-        "effect/write-set contracts (mirror coherence, fast-path "
-        "subsumption, sweep races).",
+        "effect/write-set contracts (mirror coherence, sweep races, "
+        "recovery read-surface).",
     )
     parser.add_argument(
         "paths", nargs="*", default=None,
@@ -90,12 +90,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--effects", action="store_true",
-        help="run only the effect/write-set contracts (RPR201-RPR207)",
+        help="run only the effect/write-set contracts (RPR201, RPR203, RPR205-RPR207)",
     )
     parser.add_argument(
         "--effects-report", metavar="FILE", type=Path, default=None,
-        help="write the inferred effect model (write-set closures, choke "
-        "points, sweep reachability) as stable JSON",
+        help="write the inferred effect model (membership choke points "
+        "and writers, sweep reachability) as stable JSON",
     )
     parser.add_argument(
         "--columnar", action="store_true",

@@ -1,9 +1,9 @@
 """Columnar contract analysis (RPR301-RPR305).
 
-The vectorized hot path moved the simulation's correctness-critical
-inner loops into numpy columnar kernels, and none of the earlier
-analyses see array semantics: a silent int32 downcast of an LBA
-column, a write through a view aliasing the :class:`CacheSets` mirror,
+The simulation's correctness-critical inner loops run as numpy
+columnar kernels, and none of the earlier analyses see array
+semantics: a silent int32 downcast of an LBA column, a write through
+a view aliasing the :class:`CacheSets` mirror,
 or a chained fancy-index assignment that mutates a temporary would all
 pass the layering/unit/effects suites clean.  This module runs an
 interprocedural dtype/shape dataflow over the single-parse
@@ -105,7 +105,7 @@ INDEX_TOKENS = frozenset(
 #: Index columns must stay in one of these dtypes end-to-end.
 INDEX_DTYPES = frozenset({"int64", "uint64"})
 
-#: Modules whose request-path bodies must stay vectorized (RPR305).
+#: Modules whose request-path bodies must stay columnar (RPR305).
 HOT_MODULES = frozenset(
     {
         "repro.cache.common",
@@ -928,7 +928,7 @@ class _FunctionCols:
                 f"membership-mirror write{self._where()}: {how} mutates an "
                 f"array derived from the CacheSets mirror outside a "
                 f"@mutates_membership choke point (RPR201 only sees direct "
-                f"attribute writes; views bypass the epoch bump)",
+                f"attribute writes; views bypass the index update)",
             )
 
     # -- statements ----------------------------------------------------------

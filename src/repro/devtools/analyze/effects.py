@@ -1,4 +1,4 @@
-"""Effect/write-set analysis (RPR201-RPR207).
+"""Effect/write-set analysis (RPR201, RPR203, RPR205-RPR207).
 
 Infers, per project function, the set of object attributes it may
 mutate — assignments, augmented assignments and ``del`` through
@@ -6,20 +6,12 @@ mutate — assignments, augmented assignments and ``del`` through
 resolved call boundaries, closed over the call graph — and enforces
 three contract families on top of the write-sets:
 
-* **Mirror coherence** (RPR201/RPR202/RPR203).  The membership
-  directory pair of :class:`repro.cache.sets.CacheSets` (``_index``
-  and its columnar mirror ``_lba_table``) plus the membership epoch
-  may only be written by a method decorated
-  :func:`repro.contracts.mutates_membership`; every choke point must
-  bump the epoch; and the batch readers the columnar fast path
-  snapshots through (``classify`` and friends) must be write-free
-  with respect to membership state.
-* **Fast-path effect subsumption** (RPR204).  Each policy's columnar
-  fast hook (``_write_fast``/``_read_hit_fast``/``_bulk_read_hits``)
-  may only write what its scalar counterpart writes plus the declared
-  :class:`FastAccounting` delta surface — a fast path can never touch
-  state the scalar path doesn't, the property the hypothesis
-  equivalence suite only samples.
+* **Mirror coherence** (RPR201/RPR203).  The membership directory
+  pair of :class:`repro.cache.sets.CacheSets` (``_index`` and its
+  columnar mirror ``_lba_table``) may only be written by a method
+  decorated :func:`repro.contracts.mutates_membership`, and the batch
+  readers (``classify`` and friends) must be write-free with respect
+  to membership state.
 * **Sweep race detection** (RPR205/RPR206).  Module-level mutable
   state (``global`` writes, mutation of module constants, class
   attributes) and caching decorators reachable from the sweep
@@ -59,27 +51,11 @@ MUTATES_DECORATOR = f"{CONTRACTS_MODULE}:mutates_membership"
 
 SETS_CLASS = "repro.cache.sets:CacheSets"
 #: The membership directory pair: the python-side index and its
-#: columnar int64 mirror.  Writing either outside a choke point is
-#: exactly the silent-divergence bug the mirror epoch exists to catch.
+#: columnar int64 mirror.  Writing either outside a choke point would
+#: let the mirror silently diverge from the index.
 MEMBERSHIP_ATTRS = frozenset({"_index", "_lba_table"})
-#: The membership epoch attribute; protected like the pair itself so
-#: the epoch can only move when membership (or the mirror) does.
-EPOCH_ATTR = "mutations"
-#: CacheSets methods the columnar driver consumes on snapshots
-#: (``cache/common.py::_process_columnar``); must not write membership.
+#: CacheSets batch methods; must not write membership.
 BATCH_READERS = ("classify", "resident_in_range", "set_of_batch", "touch_many")
-
-#: Columnar fast hook -> scalar counterpart whose write-set must
-#: subsume it (plus the FastAccounting delta surface).
-FAST_SCALAR_PAIRS = (
-    ("_write_fast", "write"),
-    ("_read_hit_fast", "read"),
-    ("_bulk_read_hits", "read"),
-)
-#: The declared FastAccounting delta surface: the only attribute a
-#: fast path may write beyond its scalar counterpart (the O(1) RAID
-#: counter accumulator installed by ``_process_columnar``).
-FAST_DELTA_ATTRS = frozenset({"_fast"})
 
 #: Sweep process-pool worker entry points: everything these reach runs
 #: inside a forked/spawned worker and must not share module state.
@@ -142,7 +118,6 @@ RECOVERY_SURFACE = {
     "repro.nvram.metabuffer:MetadataBuffer": frozenset({"_entries"}),
 }
 
-_PROTECTED = MEMBERSHIP_ATTRS | {EPOCH_ATTR}
 _INIT_METHODS = frozenset({"__init__", "__post_init__"})
 
 #: Chain marker for a subscript step (``x[...]``).
@@ -667,7 +642,6 @@ class EffectAnalysis:
     def check(self) -> list[Finding]:
         findings: list[Finding] = []
         findings.extend(self._check_mirror_coherence())
-        findings.extend(self._check_fast_subsumption())
         findings.extend(self._check_sweep_purity())
         findings.extend(self.check_recovery_surface())
         return sorted(findings, key=Finding.sort_key)
@@ -676,20 +650,9 @@ class EffectAnalysis:
         return self.project.modules[func.module]
 
     def _check_mirror_coherence(self) -> list[Finding]:
-        findings: list[Finding] = []
-        # RPR202: every declared choke point must bump the epoch.
-        for fid in self.choke_points():
-            func = self.project.functions[fid]
-            eff = self.effects[fid]
-            if EPOCH_ATTR not in eff.self_writes:
-                findings.append(finding_at(
-                    self._mod_of(func), func.node.lineno,
-                    func.node.col_offset, "RPR202",
-                    f"@mutates_membership method {func.qualname}() does not "
-                    f"bump the membership epoch '{EPOCH_ATTR}'",
-                ))
         if not self.sets_family:
-            return findings
+            return []
+        findings: list[Finding] = []
         # RPR201 (inside): membership state written by an undecorated
         # CacheSets method.
         for cid in sorted(self.sets_family):
@@ -702,7 +665,7 @@ class EffectAnalysis:
                 func = self.project.functions.get(fid)
                 if eff is None or func is None or eff.mutates_decorated:
                     continue
-                for attr in sorted(_PROTECTED & eff.container_writes.keys()):
+                for attr in sorted(MEMBERSHIP_ATTRS & eff.container_writes.keys()):
                     line, col = eff.container_writes[attr]
                     findings.append(finding_at(
                         self._mod_of(func), line, col, "RPR201",
@@ -721,7 +684,7 @@ class EffectAnalysis:
             if class_id in self.sets_family:
                 continue  # inside writes are covered above
             for attr, member, line, col in eff.foreign_writes:
-                if member not in _PROTECTED:
+                if member not in MEMBERSHIP_ATTRS:
                     continue
                 attr_cls = self._attr_class_in(class_id, attr)
                 if attr_cls in self.sets_family:
@@ -741,7 +704,8 @@ class EffectAnalysis:
                 if func is None or func.id in seen_readers:
                     continue
                 seen_readers.add(func.id)
-                written = sorted(self.write_closure(cid, reader) & _PROTECTED)
+                written = sorted(
+                    self.write_closure(cid, reader) & MEMBERSHIP_ATTRS)
                 if written:
                     findings.append(finding_at(
                         self._mod_of(func), func.node.lineno,
@@ -758,39 +722,6 @@ class EffectAnalysis:
             if found is not None:
                 return found
         return ""
-
-    def fast_pairs(self) -> list[tuple[str, str, str]]:
-        """(class id, fast hook, scalar counterpart) for every class that
-        defines a fast hook of its own, sorted."""
-        out: list[tuple[str, str, str]] = []
-        for cid in sorted(self.project.classes):
-            info = self.project.classes[cid]
-            for fast, scalar in FAST_SCALAR_PAIRS:
-                if fast in info.methods:
-                    out.append((cid, fast, scalar))
-        return out
-
-    def _check_fast_subsumption(self) -> list[Finding]:
-        findings: list[Finding] = []
-        for cid, fast, scalar in self.fast_pairs():
-            fast_writes = self.write_closure(cid, fast)
-            scalar_writes = self.write_closure(cid, scalar)
-            extra = sorted(fast_writes - scalar_writes - FAST_DELTA_ATTRS)
-            if not extra:
-                continue
-            func = self.project.find_method(cid, fast)
-            if func is None:  # pragma: no cover - fast in methods implies it
-                continue
-            findings.append(finding_at(
-                self._mod_of(func), func.node.lineno, func.node.col_offset,
-                "RPR204",
-                f"fast path {func.qualname}() may write "
-                f"{', '.join(repr(e) for e in extra)} which the scalar "
-                f"{scalar}() path never touches; fast-path write-sets must "
-                "stay within the scalar write-set plus the FastAccounting "
-                f"delta surface ({', '.join(sorted(FAST_DELTA_ATTRS))})",
-            ))
-        return findings
 
     # -- recovery read-surface (RPR207) --------------------------------------
 
@@ -973,8 +904,8 @@ class EffectAnalysis:
 
 
 def check_effects(project: Project) -> list[Finding]:
-    """RPR201-RPR207: mirror coherence, fast-path effect subsumption,
-    sweep-parallelism race detection, and the recovery read-surface."""
+    """RPR201/RPR203/RPR205-RPR207: mirror coherence, sweep-parallelism
+    race detection, and the recovery read-surface."""
     return EffectAnalysis(project).check()
 
 
@@ -982,21 +913,11 @@ def check_effects(project: Project) -> list[Finding]:
 
 
 def effects_report(project: Project) -> str:
-    """Stable JSON export of the effect model behind RPR201-RPR206."""
+    """Stable JSON export of the effect model behind RPR201, RPR203,
+    RPR205 and RPR206: membership choke points and writers, and sweep
+    reachability."""
     analysis = EffectAnalysis(project)
     reached = analysis.sweep_reachable()
-    fast_paths = []
-    for cid, fast, scalar in analysis.fast_pairs():
-        fast_writes = analysis.write_closure(cid, fast)
-        scalar_writes = analysis.write_closure(cid, scalar)
-        fast_paths.append({
-            "class": cid,
-            "fast": fast,
-            "scalar": scalar,
-            "fast_writes": sorted(fast_writes),
-            "scalar_writes": sorted(scalar_writes),
-            "extra": sorted(fast_writes - scalar_writes - FAST_DELTA_ATTRS),
-        })
     cached = [
         {
             "function": fid,
@@ -1012,19 +933,17 @@ def effects_report(project: Project) -> str:
         and f"{analysis.project.functions[fid].module}:"
             f"{analysis.project.functions[fid].class_name}"
             in analysis.sets_family
-        and _PROTECTED & eff.container_writes.keys()
+        and MEMBERSHIP_ATTRS & eff.container_writes.keys()
     )
     doc = {
         "version": 1,
         "membership": {
             "class": SETS_CLASS,
             "attrs": sorted(MEMBERSHIP_ATTRS),
-            "epoch": EPOCH_ATTR,
             "choke_points": analysis.choke_points(),
             "writers": membership_writers,
             "batch_readers": list(BATCH_READERS),
         },
-        "fast_paths": fast_paths,
         "sweep": {
             "entry_points": analysis.sweep_entries(),
             "reachable_functions": len(reached),

@@ -31,7 +31,7 @@ ANALYZE_TOOL = "kdd-analyze"
 #: Code families, for scoping unused-suppression reporting to the
 #: analyses a run actually executed.
 FLOW_CODES = frozenset({f"RPR1{i:02d}" for i in range(1, 12)})
-EFFECTS_CODES = frozenset({f"RPR2{i:02d}" for i in range(1, 8)})
+EFFECTS_CODES = frozenset({"RPR201", "RPR203", "RPR205", "RPR206", "RPR207"})
 COLUMNAR_CODES = frozenset({f"RPR3{i:02d}" for i in range(1, 6)})
 
 #: Every code an analyzer run can emit.

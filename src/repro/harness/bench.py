@@ -1,37 +1,21 @@
-"""Performance benchmark harness with tracked ``BENCH_<fig>.json`` baselines.
+"""Result-row baselines (``BENCH_<fig>.json``) for every figure grid.
 
-Each bench runs one figure's experiment grid at a pinned small scale
-twice — once through the scalar per-request path and once through the
-columnar fast path (``vectorized=True``, see
-:meth:`repro.cache.base.CachePolicy.process_trace`) — and emits one
-machine-readable ``BENCH_<fig>.json`` file:
+Each bench runs one figure's experiment grid once at a pinned small
+scale through :func:`repro.harness.runner.simulate_policy` — the path
+``kdd-repro run`` takes — and emits one machine-readable
+``BENCH_<fig>.json`` file:
 
-* ``ops`` / ``ops_per_s`` — page accesses processed per wall-second in
-  each mode, plus the total-time ``speedup`` and a per-policy breakdown
-  with its geometric mean (``geomean_speedup``);
-* ``row_checksum`` — SHA-256 over the canonical JSON of the result rows.
-  Scalar and vectorized rows must be byte-identical; a divergence is a
-  correctness bug and aborts the bench (:class:`SimulationError`);
+* ``ops`` / ``wall_s`` / ``ops_per_s`` — page accesses processed and
+  the wall time they took, recorded for trajectory only;
+* ``row_checksum`` — SHA-256 over the canonical JSON of the result rows;
 * for the timed figures (fig9 replay, fig10 fio), an ``engine`` section
   with events processed per wall-second on the discrete-event loop.
 
-Regression tracking compares a fresh run against the committed baseline
-with :func:`compare_reports`.  Two classes of failure:
-
-* checksum drift — the simulation's numerics changed; regenerate the
-  baseline deliberately (``kdd-repro bench``) if the change is intended;
-* speedup regression — the vectorized/scalar *ratio* fell by more than
-  ``threshold`` (default 20 %).  The ratio is machine-independent, so
-  the gate is meaningful even when CI hardware differs from the machine
-  that produced the baseline.  Absolute ``ops_per_s`` / ``events_per_s``
-  are recorded for trajectory but never gated.
-
-Per-policy ceilings are structural, not incidental: policies whose hot
-path is pure cache bookkeeping (nossd, wa, wt) vectorize by orders of
-magnitude, while KDD's mlog/staging/DEZ-commit machinery is an
-event-ordered state machine that must run per request in both modes to
-keep rows byte-identical (see DESIGN.md, "What must stay
-event-ordered").
+:func:`compare_reports` gates a fresh run against the committed
+baseline on checksum drift only: the simulation's numerics changed, so
+regenerate the baseline deliberately (``kdd-repro bench``) if the change
+is intended.  Wall times are never gated here; the end-to-end benchmark
+under ``benchmarks/e2e`` measures speed.
 
 This module is deliberately outside :mod:`repro.sim`/:mod:`repro.core`
 so it may read the wall clock (kdd-lint RPR001 exempts the harness).
@@ -41,14 +25,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
 
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError
 from ..traces.workloads import (
     ALL_WORKLOADS,
     READ_DOMINANT,
@@ -62,9 +45,6 @@ from .sweep import _canonical
 
 #: Pinned scale for the trace-driven benches (same as benchmarks/).
 BENCH_SCALE = 0.004
-
-#: Default regression threshold on the vectorized/scalar speedup ratio.
-BENCH_THRESHOLD = 0.20
 
 #: Target IOPS for the fig9 replay bench (mirrors figures.fig9).
 _REPLAY_TARGET_IOPS = 120.0
@@ -156,76 +136,33 @@ def _checksum(rows: list[dict[str, Any]]) -> str:
     return "sha256:" + hashlib.sha256(_canonical(rows).encode()).hexdigest()
 
 
-def _run_cells(cells: list[BenchCell], scale: float, vectorized: bool):
-    rows: list[dict[str, Any]] = []
-    per_policy: dict[str, float] = {}
-    wall = 0.0
-    for cell in cells:
-        trace = _trace(cell.workload, scale)
-        start = time.perf_counter()
-        result = simulate_policy(cell.policy, trace, cell.cache_pages,
-                                 vectorized=vectorized, **dict(cell.config))
-        elapsed = time.perf_counter() - start
-        row = result.row()
-        row["meta_writes"] = result.stats.meta_writes
-        row.update(result.extras)
-        row["policy"] = cell.label
-        rows.append(row)
-        wall += elapsed
-        per_policy[cell.label] = per_policy.get(cell.label, 0.0) + elapsed
-    return rows, wall, per_policy
-
-
-def _geomean(values: list[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def _bench_trace_grid(fig: str, cells: list[BenchCell],
                       scale: float) -> dict[str, Any]:
     for cell in cells:  # materialise traces outside the timed region
         _trace(cell.workload, scale)
     ops = sum(_trace_ops(c.workload, scale) for c in cells)
-    rows_s, wall_s, per_s = _run_cells(cells, scale, vectorized=False)
-    rows_v, wall_v, per_v = _run_cells(cells, scale, vectorized=True)
-    if rows_s != rows_v:
-        diverged = [
-            (a["policy"], a["workload"])
-            for a, b in zip(rows_s, rows_v) if a != b
-        ]
-        raise SimulationError(
-            f"{fig}: vectorized rows diverge from scalar rows for cells "
-            f"{diverged}; the columnar fast path must be result-identical"
-        )
-    floor = 1e-9
-    per_policy = {
-        label: {
-            "scalar_s": round(per_s[label], 4),
-            "vectorized_s": round(per_v[label], 4),
-            "speedup": round(per_s[label] / max(per_v[label], floor), 2),
-        }
-        for label in per_s
-    }
+    rows: list[dict[str, Any]] = []
+    wall = 0.0
+    for cell in cells:
+        trace = _trace(cell.workload, scale)
+        start = time.perf_counter()
+        result = simulate_policy(cell.policy, trace, cell.cache_pages,
+                                 **dict(cell.config))
+        wall += time.perf_counter() - start
+        row = result.row()
+        row["meta_writes"] = result.stats.meta_writes
+        row.update(result.extras)
+        row["policy"] = cell.label
+        rows.append(row)
     return {
         "figure": fig,
         "kind": "trace",
         "scale": scale,
         "cells": len(cells),
         "ops": ops,
-        "scalar": {
-            "wall_s": round(wall_s, 4),
-            "ops_per_s": round(ops / max(wall_s, floor)),
-        },
-        "vectorized": {
-            "wall_s": round(wall_v, 4),
-            "ops_per_s": round(ops / max(wall_v, floor)),
-        },
-        "speedup": round(wall_s / max(wall_v, floor), 2),
-        "geomean_speedup": round(
-            _geomean([v["speedup"] for v in per_policy.values()]), 2
-        ),
-        "per_policy": per_policy,
-        "rows_identical": True,
-        "row_checksum": _checksum(rows_s),
+        "wall_s": round(wall, 4),
+        "ops_per_s": round(ops / max(wall, 1e-9)),
+        "row_checksum": _checksum(rows),
     }
 
 
@@ -329,8 +266,7 @@ def _bench_reliability() -> dict[str, Any]:
     and the Monte-Carlo estimator alone (trials per wall-second over a
     measured stale-stripe distribution).  The checksum covers only the
     deterministic result rows, never the timings, so the baseline gates
-    numerics drift while throughput stays informational — there is no
-    ``speedup`` key, so the ratio gate does not apply.
+    numerics drift while throughput stays informational.
     """
     from ..faults.crash import run_crash_matrix
     from ..reliability.measure import (
@@ -411,9 +347,7 @@ def _bench_serve() -> dict[str, Any]:
     over the full 1M-request / 1000-tenant stream) — and *drive* — the
     full partitioned-cache pipeline through the serve sweep executor,
     once static and once dynamic.  The checksum covers the
-    deterministic result rows only, never the timings; like the
-    reliability bench there is no ``speedup`` key, so the ratio gate
-    does not apply.
+    deterministic result rows only, never the timings.
     """
     from ..serve.composer import WorkloadComposer
     from ..serve.driver import ServeMetrics
@@ -543,12 +477,10 @@ def load_report(fig: str, out_dir: str | Path = ".") -> dict[str, Any] | None:
         ) from exc
 
 
-def compare_reports(old: dict[str, Any], new: dict[str, Any],
-                    threshold: float = BENCH_THRESHOLD) -> list[str]:
+def compare_reports(old: dict[str, Any], new: dict[str, Any]) -> list[str]:
     """Regressions of ``new`` versus baseline ``old`` (empty = clean).
 
-    Gated: row checksums (exact) and the vectorized/scalar speedup ratio
-    (machine-independent).  Absolute throughput is informational only.
+    Gated: row checksums (exact).  Throughput is informational only.
     """
     fig = new.get("figure", "?")
     problems: list[str] = []
@@ -557,13 +489,6 @@ def compare_reports(old: dict[str, Any], new: dict[str, Any],
             f"{fig}: result rows changed (checksum "
             f"{old.get('row_checksum')} -> {new.get('row_checksum')}); "
             f"regenerate the baseline if this is intended"
-        )
-    old_speedup, new_speedup = old.get("speedup"), new.get("speedup")
-    if old_speedup and new_speedup and \
-            new_speedup < old_speedup * (1.0 - threshold):
-        problems.append(
-            f"{fig}: vectorized speedup regressed {old_speedup:.2f}x -> "
-            f"{new_speedup:.2f}x (> {threshold:.0%} drop)"
         )
     old_eng, new_eng = old.get("engine"), new.get("engine")
     if old_eng and new_eng and \
@@ -577,7 +502,6 @@ def run_benches(
     figures: list[str] | None = None,
     out_dir: str | Path = ".",
     scale: float = BENCH_SCALE,
-    threshold: float = BENCH_THRESHOLD,
     check_only: bool = False,
     artifact_dir: str | Path | None = None,
     echo: Callable[[str], None] = print,
@@ -610,7 +534,7 @@ def run_benches(
         report = bench_figure(name, scale=scale)
         baseline = load_report(name, out_dir)
         if baseline is not None:
-            problems.extend(compare_reports(baseline, report, threshold))
+            problems.extend(compare_reports(baseline, report))
         summary = _summary_line(report)
         echo(summary)
         if artifact_dir is not None:
@@ -648,13 +572,8 @@ def _summary_line(report: dict[str, Any]) -> str:
                 f"MC {mc['trials']:,} trials in {mc['wall_s']:.2f}s "
                 f"({mc['trials_per_s']:,} trials/s); cross-check {verdict}")
     line = (
-        f"{fig}: {report['cells']} cells, {report['ops']:,} ops; "
-        f"scalar {report['scalar']['wall_s']:.2f}s "
-        f"({report['scalar']['ops_per_s']:,} ops/s), "
-        f"vectorized {report['vectorized']['wall_s']:.2f}s "
-        f"({report['vectorized']['ops_per_s']:,} ops/s); "
-        f"speedup {report['speedup']:.1f}x "
-        f"(geomean {report['geomean_speedup']:.1f}x)"
+        f"{fig}: {report['cells']} cells, {report['ops']:,} ops in "
+        f"{report['wall_s']:.2f}s ({report['ops_per_s']:,} ops/s)"
     )
     if "engine" in report:
         eng = report["engine"]

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from ..errors import ReproError
+from ..errors import ConfigError, ReproError
 from .figures import ALL_FIGURES, DEFAULT_SCALE
 from .sweep import SweepEngine, SweepProgress
 
@@ -240,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = sub.add_parser(
         "bench",
-        help="run the scalar-vs-vectorized performance benches and track "
-        "the BENCH_<fig>.json baselines at the repo root",
+        help="run every figure grid once and track the result-row "
+        "checksums in the BENCH_<fig>.json baselines at the repo root",
     )
     bench.add_argument(
         "figures", nargs="*",
@@ -260,13 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument(
         "--check", action="store_true",
         help="CI mode: compare against the committed baselines without "
-        "rewriting them; fail on checksum drift, missing baselines, or "
-        "a speedup regression beyond --threshold",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=None,
-        help="allowed fractional drop in the vectorized/scalar speedup "
-        "ratio before failing (default 0.20)",
+        "rewriting them; fail on checksum drift or missing baselines",
     )
     bench.add_argument(
         "--artifact-dir", default=None,
@@ -294,33 +288,34 @@ def main(argv: list[str] | None = None) -> int:
                           choices=["always", "larc", "count"])
     simulate.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    command = {
+        "list": _list_command,
+        "run": _run_command,
+        "simulate": _simulate_command,
+        "bench": _bench_command,
+        "faults": _faults_command,
+        "reliability": _reliability_command,
+        "serve": _serve_command,
+    }[args.command]
+    try:
+        return command(args)
+    except ReproError as exc:
+        print(f"kdd-repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
-    if args.command == "list":
-        for name, fn in ALL_FIGURES.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:8s} {doc}")
-        return 0
 
-    if args.command == "simulate":
-        return _simulate_command(args)
+def _list_command(args) -> int:
+    for name, fn in ALL_FIGURES.items():
+        doc = (fn.__doc__ or "").strip().splitlines()[0]
+        print(f"{name:8s} {doc}")
+    return 0
 
-    if args.command == "bench":
-        return _bench_command(args)
 
-    if args.command == "faults":
-        return _faults_command(args)
-
-    if args.command == "reliability":
-        return _reliability_command(args)
-
-    if args.command == "serve":
-        return _serve_command(args)
-
+def _run_command(args) -> int:
     names = list(ALL_FIGURES) if "all" in args.figures else args.figures
     unknown = [n for n in names if n not in ALL_FIGURES]
     if unknown:
-        print(f"unknown figures: {unknown}; try 'kdd-repro list'", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown figures: {unknown}; try 'kdd-repro list'")
 
     engine = SweepEngine(
         jobs=args.jobs,
@@ -366,7 +361,7 @@ def _load_workload(name: str, scale: float):
         return parse_spc(name, name=name)
     if name.endswith(".csv"):
         return parse_msr(name, name=name)
-    raise SystemExit(
+    raise ConfigError(
         f"unknown workload {name!r}: use one of {ALL_WORKLOADS} "
         "or a path ending in .spc/.csv"
     )
@@ -376,8 +371,8 @@ def _parse_rates(text: str, what: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise SystemExit(f"bad {what} list {text!r}: expected comma-separated "
-                         "numbers") from None
+        raise ConfigError(f"bad {what} list {text!r}: expected comma-separated "
+                          "numbers") from None
 
 
 def _faults_command(args) -> int:
@@ -391,8 +386,8 @@ def _faults_command(args) -> int:
     retries = [r.strip() for r in args.retries.split(",") if r.strip()]
     unknown = [r for r in retries if r not in RETRY_POLICIES]
     if unknown:
-        raise SystemExit(f"unknown retry policies {unknown}; "
-                         f"choose from {sorted(RETRY_POLICIES)}")
+        raise ConfigError(f"unknown retry policies {unknown}; "
+                          f"choose from {sorted(RETRY_POLICIES)}")
     trace = trace_desc(
         "uniform",
         n_requests=args.requests,
@@ -525,8 +520,8 @@ def _serve_command(args) -> int:
     plans = [p.strip() for p in args.plans.split(",") if p.strip()]
     unknown = [p for p in plans if p not in ("static", "dynamic")]
     if unknown:
-        raise SystemExit(f"unknown plans {unknown}; choose from "
-                         "['static', 'dynamic']")
+        raise ConfigError(f"unknown plans {unknown}; choose from "
+                          "['static', 'dynamic']")
     want_tenants = args.per_tenant or bool(args.report_out)
     cells = [
         serve_cell(
@@ -583,21 +578,15 @@ def _serve_command(args) -> int:
 
 
 def _bench_command(args) -> int:
-    from .bench import BENCH_SCALE, BENCH_THRESHOLD, run_benches
+    from .bench import BENCH_SCALE, run_benches
 
-    try:
-        return run_benches(
-            figures=args.figures or None,
-            out_dir=args.out_dir,
-            scale=args.scale if args.scale is not None else BENCH_SCALE,
-            threshold=args.threshold
-            if args.threshold is not None else BENCH_THRESHOLD,
-            check_only=args.check,
-            artifact_dir=args.artifact_dir,
-        )
-    except ReproError as exc:
-        print(f"kdd-repro bench: {exc}", file=sys.stderr)
-        return 2
+    return run_benches(
+        figures=args.figures or None,
+        out_dir=args.out_dir,
+        scale=args.scale if args.scale is not None else BENCH_SCALE,
+        check_only=args.check,
+        artifact_dir=args.artifact_dir,
+    )
 
 
 def _simulate_command(args) -> int:

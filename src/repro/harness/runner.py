@@ -168,15 +168,12 @@ def simulate_policy(
     cache_pages: int,
     raid: RAIDArray | None = None,
     policy_kwargs: dict[str, Any] | None = None,
-    vectorized: bool = False,
     **config_kwargs: Any,
 ) -> SimulationResult:
     """Run ``trace`` through policy ``name`` with a ``cache_pages`` cache.
 
     Extra keyword arguments go to :class:`CacheConfig` (e.g.
     ``mean_compression=0.12``, ``meta_partition_frac=0.0039``, ``seed=7``).
-    ``vectorized=True`` enables the columnar fast path (identical
-    results; see :meth:`repro.cache.base.CachePolicy.process_trace`).
     """
     valid = {f.name for f in fields(CacheConfig)}
     bad = set(config_kwargs) - valid
@@ -186,7 +183,7 @@ def simulate_policy(
     if raid is None:
         raid = make_raid_for_trace(trace)
     policy = build_policy(name, config, raid, **(policy_kwargs or {}))
-    stats = policy.process_trace(trace, vectorized=vectorized)
+    stats = policy.process_trace(trace)
     extras: dict[str, Any] = {}
     if isinstance(policy, KDD):
         extras.update(

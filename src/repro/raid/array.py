@@ -20,13 +20,13 @@ reconstruct-write mode).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ..contracts import columnar
 from ..errors import ConfigError, DegradedError, RaidError
 from .layout import PageLocation, RaidLayout, RaidLevel
 from .parity import compute_p, compute_q, xor_blocks
@@ -84,75 +84,119 @@ class RaidCounters:
                     self.parity_writes += op.npages
 
 
+def _check_range(lpage: int, npages: int, capacity: int) -> None:
+    if lpage < 0 or lpage + npages > capacity:
+        raise ConfigError(f"logical pages [{lpage}, {lpage + npages}) out of range")
+
+
+def _check_delayed_parity(level: RaidLevel) -> None:
+    if level not in (RaidLevel.RAID5, RaidLevel.RAID6):
+        raise RaidError("delayed parity requires a parity RAID level")
+
+
 class FastAccounting:
-    """O(1) bulk counter accounting for a healthy array.
+    """Counter-only RAID sink for a healthy array.
 
     The trace-driven simulators only consume :class:`RaidCounters`; the
     :class:`DiskOp` lists matter solely to the timing engine.  On a
     non-degraded array with no latent sector errors and no stored
-    payload, every single-page logical op maps to a *fixed* member-I/O
-    pattern, so the counter deltas can be precomputed once and applied
-    per access (or in bulk) without re-deriving the stripe geometry.
-    The deltas mirror the small-write logic of
-    :meth:`RAIDArray._write_group` exactly; equivalence is pinned by the
-    scalar-vs-vectorized property suite.
+    payload, the member I/O of a write depends only on how many pages
+    it puts at one stripe offset, so the sink applies counter deltas
+    instead of deriving the stripe geometry page by page.  It takes the
+    array's :meth:`~RAIDArray.read`, :meth:`~RAIDArray.write` and
+    :meth:`~RAIDArray.write_without_parity_update` calls — same
+    signatures, range checks and errors — and returns no member ops;
+    ``parity_update`` stays on the array.  The deltas mirror
+    :meth:`RAIDArray._write_group`'s read-modify-write vs
+    reconstruct-write choice exactly.  Obtain one from
+    :meth:`RAIDArray.fast_account`.
     """
 
     __slots__ = (
         "counters",
         "stale_stripes",
+        "capacity_pages",
         "stripe_data_pages",
-        "write_data_reads",
-        "write_parity_reads",
-        "write_data_writes",
-        "write_parity_writes",
-        "delayed_ok",
+        "chunk_pages",
+        "level",
+        "ndisks",
+        "data_disks",
+        "parity_disks",
+        "_single",
     )
 
     def __init__(self, array: "RAIDArray") -> None:
         layout = array.layout
         self.counters = array.counters
         self.stale_stripes = array.stale_stripes
+        self.capacity_pages = array.capacity_pages
         self.stripe_data_pages = layout.stripe_data_pages
-        self.delayed_ok = layout.level in (RaidLevel.RAID5, RaidLevel.RAID6)
-        if layout.level is RaidLevel.RAID0:
-            reads = (0, 0)
-            writes = (1, 0)
-        elif layout.level is RaidLevel.RAID1:
-            reads = (0, 0)
-            writes = (array.ndisks, 0)
-        else:
-            n_parity = layout.parity_disks
-            untouched = layout.data_disks_per_stripe - 1
-            rmw_ios = 2 + 2 * n_parity
-            rcw_ios = untouched + 1 + n_parity
-            if rcw_ios < rmw_ios or not untouched:
-                reads = (untouched, 0)
-            else:
-                reads = (1, n_parity)
-            writes = (1, n_parity)
-        self.write_data_reads, self.write_parity_reads = reads
-        self.write_data_writes, self.write_parity_writes = writes
+        self.chunk_pages = layout.chunk_pages
+        self.level = layout.level
+        self.ndisks = array.ndisks
+        self.data_disks = layout.data_disks_per_stripe
+        self.parity_disks = layout.parity_disks
+        self._single = self._group_ios(1)
 
-    @columnar(dtypes={"npages": "int"})
-    def read(self, npages: int = 1) -> None:
-        """Account ``npages`` independent single-page logical reads."""
-        self.counters.data_reads += npages
+    def _group_ios(self, k: int) -> tuple[int, int, int, int]:
+        """(data reads, parity reads, data writes, parity writes) for
+        ``k`` pages written at one stripe offset."""
+        if self.level is RaidLevel.RAID0:
+            return 0, 0, k, 0
+        if self.level is RaidLevel.RAID1:
+            return 0, 0, k * self.ndisks, 0
+        n_parity = self.parity_disks
+        untouched = self.data_disks - k
+        rmw_ios = 2 * k + 2 * n_parity
+        rcw_ios = untouched + k + n_parity
+        if rcw_ios < rmw_ios or not untouched:
+            return untouched, 0, k, n_parity
+        return k, n_parity, k, n_parity
 
-    @columnar(dtypes={"npages": "int"})
-    def write(self, npages: int = 1) -> None:
-        """Account ``npages`` independent single-page parity-updating writes."""
+    def _account(self, ios: tuple[int, int, int, int]) -> None:
         c = self.counters
-        c.data_reads += npages * self.write_data_reads
-        c.parity_reads += npages * self.write_parity_reads
-        c.data_writes += npages * self.write_data_writes
-        c.parity_writes += npages * self.write_parity_writes
+        c.data_reads += ios[0]
+        c.parity_reads += ios[1]
+        c.data_writes += ios[2]
+        c.parity_writes += ios[3]
 
-    @columnar(dtypes={"stripe": "int"})
-    def write_delayed(self, stripe: int) -> None:
-        """Account one ``write_without_parity_update``; marks parity stale."""
+    def read(self, lpage: int, npages: int = 1) -> list[DiskOp]:
+        """Counter-only :meth:`RAIDArray.read`."""
+        _check_range(lpage, npages, self.capacity_pages)
+        self.counters.data_reads += npages
+        return []
+
+    def write(
+        self,
+        lpage: int,
+        npages: int = 1,
+        data: Sequence[bytes | np.ndarray] | None = None,
+    ) -> list[DiskOp]:
+        """Counter-only :meth:`RAIDArray.write` (full parity update)."""
+        _check_range(lpage, npages, self.capacity_pages)
+        if data is not None and len(data) != npages:
+            raise ConfigError("data must contain one payload per page")
+        if npages == 1:
+            self._account(self._single)
+            return []
+        # the array groups the pages by (stripe, offset within chunk)
+        groups = Counter(
+            (page // self.stripe_data_pages, page % self.chunk_pages)
+            for page in range(lpage, lpage + npages)
+        )
+        for k in groups.values():
+            self._account(self._group_ios(k))
+        return []
+
+    def write_without_parity_update(
+        self, lpage: int, data: bytes | np.ndarray | None = None
+    ) -> list[DiskOp]:
+        """Counter-only :meth:`RAIDArray.write_without_parity_update`."""
+        _check_delayed_parity(self.level)
+        _check_range(lpage, 1, self.capacity_pages)
         self.counters.data_writes += 1
-        self.stale_stripes.add(stripe)
+        self.stale_stripes.add(lpage // self.stripe_data_pages)
+        return []
 
 
 class RAIDArray:
@@ -201,8 +245,7 @@ class RAIDArray:
         return cap
 
     def _check_lpage(self, lpage: int, npages: int = 1) -> None:
-        if lpage < 0 or lpage + npages > self.capacity_pages:
-            raise ConfigError(f"logical pages [{lpage}, {lpage + npages}) out of range")
+        _check_range(lpage, npages, self.capacity_pages)
 
     # -- payload helpers -------------------------------------------------------
 
@@ -271,13 +314,13 @@ class RAIDArray:
         return bool(self.failed_disks)
 
     def fast_account(self) -> FastAccounting | None:
-        """Counter-only accounting shortcut, or None when ineligible.
+        """Counter-only sink for this array, or None when ineligible.
 
         Eligibility requires the fixed member-I/O patterns to hold: no
         failed member (degraded reads/writes reroute I/O), no latent
         sector errors (reads reconstruct through peers), and no stored
-        payload (payload maintenance reads real pages).  Callers must
-        re-request the helper if any of those change.
+        payload (payload maintenance reads real pages).  A sink is only
+        valid while all three stay true.
         """
         if self.failed_disks or self.media_errors or self._disk_data is not None:
             return None
@@ -629,8 +672,7 @@ class RAIDArray:
         parity later lives in the SSD cache, so the array can skip the
         read-old/read-parity/write-parity I/Os now.
         """
-        if self.level not in (RaidLevel.RAID5, RaidLevel.RAID6):
-            raise RaidError("delayed parity requires a parity RAID level")
+        _check_delayed_parity(self.level)
         self._check_lpage(lpage)
         loc = self.layout.locate(lpage)
         if loc.disk in self.failed_disks:

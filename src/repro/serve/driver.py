@@ -63,7 +63,7 @@ class ServeMetrics:
         self.reads = np.zeros(n_tenants, dtype=np.int64)
         self.throughput = WindowedThroughput(window_s)
         # P² updates are scalar; a deterministic stride subsample of the
-        # inter-arrival gaps keeps million-request batches vectorized
+        # inter-arrival gaps keeps million-request batches array-at-a-time
         # while the estimate tracks the same distribution.
         self.gap_quantiles = StreamingQuantiles((0.5, 0.95, 0.99))
         self._gap_stride = gap_stride

@@ -1,9 +1,9 @@
-"""Effect/write-set analysis (RPR201-RPR206).
+"""Effect/write-set analysis (RPR201, RPR203, RPR205-RPR207).
 
 Each contract family is proven on a fixture tree where the rule fires
 on a seeded violation and stays silent on the conforming twin; the
 real tree is then held to all of them at once (effects-clean, with a
-mutation test showing the epoch-bump contract actually bites on the
+mutation test showing the choke-point contract actually bites on the
 production ``CacheSets``).
 """
 
@@ -39,7 +39,6 @@ class TestMirrorCoherence:
                 class CacheSets:
                     def __init__(self):
                         self._index = {}
-                        self.mutations = 0
 
                     def alloc(self, lba):
                         self._index[lba] = lba
@@ -57,29 +56,12 @@ class TestMirrorCoherence:
                 class CacheSets:
                     def __init__(self):
                         self._index = {}
-                        self.mutations = 0
 
                     def remove(self, lba):
                         self._index.pop(lba, None)
             """,
         })
         assert codes(check_effects(project)) == ["RPR201"]
-
-    def test_epoch_write_outside_choke_point_is_rpr201(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                class CacheSets:
-                    def __init__(self):
-                        self.mutations = 0
-
-                    def poke(self):
-                        self.mutations += 1
-            """,
-        })
-        findings = check_effects(project)
-        assert codes(findings) == ["RPR201"]
-        assert "'mutations'" in findings[0].message
 
     def test_foreign_write_through_sets_attr_is_rpr201(self, analyze_tree):
         project = analyze_tree({
@@ -90,7 +72,6 @@ class TestMirrorCoherence:
                 class CacheSets:
                     def __init__(self):
                         self._lba_table = np.full((1, 1), -1)
-                        self.mutations = 0
             """,
             "cache/common.py": """\
                 from .sets import CacheSets
@@ -108,27 +89,6 @@ class TestMirrorCoherence:
         assert "outside the class" in findings[0].message
         assert "shortcut()" in findings[0].message
 
-    def test_decorated_choke_point_without_bump_is_rpr202(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                from ..contracts import mutates_membership
-
-                class CacheSets:
-                    def __init__(self):
-                        self._index = {}
-                        self.mutations = 0
-
-                    @mutates_membership
-                    def _membership_update(self, lba):
-                        self._index[lba] = lba
-            """,
-        })
-        findings = check_effects(project)
-        assert codes(findings) == ["RPR202"]
-        assert "_membership_update()" in findings[0].message
-        assert "'mutations'" in findings[0].message
-
     def test_batch_reader_that_writes_membership_is_rpr203(self, analyze_tree):
         project = analyze_tree({
             "contracts.py": MINI_CONTRACTS,
@@ -138,12 +98,10 @@ class TestMirrorCoherence:
                 class CacheSets:
                     def __init__(self):
                         self._index = {}
-                        self.mutations = 0
 
                     @mutates_membership
                     def _membership_update(self, lba):
                         self._index[lba] = lba
-                        self.mutations += 1
 
                     def classify(self, lbas):
                         for lba in lbas:
@@ -165,7 +123,6 @@ class TestMirrorCoherence:
                     def __init__(self):
                         self._index = {}
                         self._order = []
-                        self.mutations = 0
 
                     @mutates_membership
                     def _membership_update(self, lba, add):
@@ -173,7 +130,6 @@ class TestMirrorCoherence:
                             self._index[lba] = lba
                         else:
                             del self._index[lba]
-                        self.mutations += 1
 
                     def alloc(self, lba):
                         self._order.append(lba)
@@ -186,73 +142,6 @@ class TestMirrorCoherence:
                         order = self._order
                         for lba in lbas:
                             order.append(lba)
-            """,
-        })
-        assert check_effects(project) == []
-
-
-class TestFastPathSubsumption:
-    def test_fast_write_beyond_scalar_set_is_rpr204(self, analyze_tree):
-        project = analyze_tree({
-            "cache/common.py": """\
-                class Policy:
-                    def __init__(self):
-                        self.stats = {}
-                        self.shadow = {}
-
-                    def write(self, lba):
-                        self.stats[lba] = 1
-
-                    def _write_fast(self, lba):
-                        self.stats[lba] = 1
-                        self.shadow[lba] = 1
-            """,
-        })
-        findings = check_effects(project)
-        assert codes(findings) == ["RPR204"]
-        assert "'shadow'" in findings[0].message
-        assert "_write_fast()" in findings[0].message
-
-    def test_subsumption_holds_through_helper_calls(self, analyze_tree):
-        # The write-set closure crosses call boundaries: the scalar
-        # path writes via a helper, the fast path directly, and the
-        # FastAccounting delta surface (_fast) is always admissible.
-        project = analyze_tree({
-            "cache/common.py": """\
-                class Policy:
-                    def __init__(self):
-                        self.stats = {}
-                        self._fast = None
-
-                    def _account(self, lba):
-                        self.stats[lba] = 1
-
-                    def write(self, lba):
-                        self._account(lba)
-
-                    def _write_fast(self, lba):
-                        self.stats[lba] = 1
-                        self._fast.write(1)
-            """,
-        })
-        assert check_effects(project) == []
-
-    def test_inherited_scalar_write_set_subsumes_override(self, analyze_tree):
-        project = analyze_tree({
-            "cache/common.py": """\
-                class Base:
-                    def __init__(self):
-                        self.stats = {}
-
-                    def write(self, lba):
-                        self.stats[lba] = 1
-            """,
-            "cache/wt.py": """\
-                from .common import Base
-
-                class WriteThrough(Base):
-                    def _write_fast(self, lba):
-                        self.stats[lba] = 1
             """,
         })
         assert check_effects(project) == []
@@ -393,40 +282,37 @@ class TestRealTree:
         # Exactly one choke point, and it is the CacheSets API.
         assert analysis.choke_points() == \
             ["repro.cache.sets:CacheSets._membership_update"]
-        # Every policy fast hook is covered by the subsumption check.
-        classes = {cid for cid, _fast, _scalar in analysis.fast_pairs()}
-        assert "repro.cache.writethrough:WriteThrough" in classes
-        assert "repro.cache.leavo:LeavO" in classes
-        assert "repro.core.kdd:KDD" in classes
         # The sweep worker surface includes both cell runners and hooks.
         entries = analysis.sweep_entries()
         assert "repro.harness.sweep:_execute_cell" in entries
         assert any(e.startswith("repro.engine.hooks:") for e in entries)
 
-    def test_removing_the_epoch_bump_fails_the_contract(self, analyze_tree):
-        # Acceptance proof: strip the bump from the production choke
-        # point and RPR202 must fire on the otherwise-identical tree.
+    def test_removing_the_choke_point_marker_fails_the_contract(
+        self, analyze_tree
+    ):
+        # Acceptance proof: undecorate the production choke point and
+        # RPR201 must fire at its membership writes.
         sets_src = (SRC_REPRO / "cache" / "sets.py").read_text()
         contracts_src = (SRC_REPRO / "contracts.py").read_text()
-        broken = sets_src.replace("self.mutations += 1", "pass")
+        broken = sets_src.replace("    @mutates_membership\n", "")
         assert broken != sets_src
         project = analyze_tree({
             "contracts.py": contracts_src,
             "cache/sets.py": broken,
         })
-        findings = check_effects(project)
-        assert codes(findings) == ["RPR202"]
-        assert "_membership_update()" in findings[0].message
+        findings = [f for f in check_effects(project) if f.code == "RPR201"]
+        assert findings
+        assert all("_membership_update()" in f.message for f in findings)
 
     def test_effects_report_shape(self, tmp_path):
         import json
 
         doc = json.loads(effects_report(Project.load([SRC_REPRO])))
         assert doc["version"] == 1
-        assert doc["membership"]["epoch"] == "mutations"
         assert sorted(doc["membership"]["attrs"]) == \
             ["_index", "_lba_table"]
-        assert all(fp["extra"] == [] for fp in doc["fast_paths"])
+        assert "epoch" not in doc["membership"]
+        assert "fast_paths" not in doc
         cached = doc["sweep"]["cached_functions"]
         assert cached and all(entry["allowlisted"] for entry in cached)
 

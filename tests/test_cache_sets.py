@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.sets import CacheSets
-from repro.errors import CacheError, ConfigError
+from repro.errors import CacheError
 from repro.nvram import PageState
 
 
@@ -169,25 +169,26 @@ class TestMembershipChokePoint:
     def test_choke_point_carries_the_marker(self):
         assert CacheSets._membership_update.__mutates_membership__ is True
 
-    def test_alloc_and_remove_bump_the_epoch_once(self):
+    def test_alloc_and_remove_update_index_and_mirror(self):
         cs = CacheSets(cache_pages=8, ways=8)
-        before = cs.mutations
-        cs.alloc(1, PageState.CLEAN)
-        assert cs.mutations == before + 1
+        probe = np.array([1], dtype=np.int64)
+        line = cs.alloc(1, PageState.CLEAN)
+        assert cs.lookup(1) is line
+        assert bool(cs.classify(probe)[0])
         cs.remove(1)
-        assert cs.mutations == before + 2
+        assert cs.lookup(1) is None
+        assert not bool(cs.classify(probe)[0])
+        cs.check_invariants()
 
-    def test_slot_moves_and_touches_leave_the_epoch_alone(self):
-        # Membership is unchanged by an adopt (same lba, new slot) or a
-        # touch, and classify is position-independent — so neither may
-        # invalidate bulk hit runs (the fig6 fast path depends on it).
+    def test_slot_moves_and_touches_keep_membership(self):
+        # An adopt moves a resident lba to a new slot and a touch only
+        # reorders the LRU list: the page stays resident in both views.
         cs = CacheSets(cache_pages=8, ways=8)
         line = cs.alloc(1, PageState.OLD)
         twin = cs.borrow_slot(line.set_idx)
-        epoch = cs.mutations
         cs.touch(1)
         cs.adopt_borrowed(1, twin)
-        assert cs.mutations == epoch
+        assert cs.lookup(1) is line
         assert bool(cs.classify(np.array([1], dtype=np.int64))[0])
         cs.check_invariants()
 
@@ -202,20 +203,12 @@ class TestMembershipChokePoint:
 def test_property_mirror_never_stale(ops):
     """Interleaved scalar writes and batch classification always agree.
 
-    For any sequence of alloc/remove/touch/adopt operations: (1) the
-    columnar mirror classifies exactly the ground-truth membership at
-    every step; (2) the epoch bumps exactly when membership changes;
-    (3) an unchanged epoch means an earlier classification snapshot is
-    still exactly valid — the invariant ``_columnar_chunk``'s hit-run
-    guard relies on.
+    For any sequence of alloc/remove/touch/adopt operations the columnar
+    mirror classifies exactly the ground-truth membership at every step.
     """
     cs = CacheSets(cache_pages=32, ways=8)
     probe = np.arange(0, 41, dtype=np.int64)
-    snapshot = cs.classify(probe).copy()
-    snap_epoch = cs.mutations
     for kind, lba in ops:
-        members = set(cs._index)
-        epoch = cs.mutations
         if kind == "a" and lba not in cs:
             cs.alloc(lba, PageState.CLEAN)  # None when the set is full
         elif kind == "r" and lba in cs:
@@ -226,17 +219,8 @@ def test_property_mirror_never_stale(ops):
             twin = cs.borrow_slot(cs.set_of(lba))
             if twin is not None:
                 cs.adopt_borrowed(lba, twin)
-        # (2) the epoch moves iff membership did
-        assert (cs.mutations != epoch) == (set(cs._index) != members)
-        # (1) the mirror is never stale w.r.t. ground truth
         truth = np.array([p in cs for p in probe.tolist()])
         assert np.array_equal(cs.classify(probe), truth)
-        # (3) epoch-unchanged snapshots remain exactly valid
-        if cs.mutations == snap_epoch:
-            assert np.array_equal(snapshot, truth)
-        else:
-            snapshot = cs.classify(probe).copy()
-            snap_epoch = cs.mutations
     cs.check_invariants()
 
 

@@ -1,6 +1,9 @@
 """Tests for the kdd-repro CLI (run / simulate / trace file loading)."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.harness.cli import main as cli_main
 from repro.traces import uniform_workload, write_spc
@@ -45,9 +48,18 @@ class TestSimulateCommand:
         rc = cli_main(["simulate", "wt", "--workload", str(spc)])
         assert rc == 0
 
-    def test_simulate_unknown_workload(self):
-        with pytest.raises(SystemExit):
-            cli_main(["simulate", "wt", "--workload", "nope.bin"])
+    def test_simulate_unknown_workload(self, capsys):
+        assert cli_main(["simulate", "wt", "--workload", "nope.bin"]) == 2
+        assert "kdd-repro simulate: unknown workload 'nope.bin'" in \
+            capsys.readouterr().err
+
+    def test_simulate_unknown_policy_exits_2(self, capsys):
+        rc = cli_main(["simulate", "bogus", "--workload", "Fin2",
+                       "--scale", "0.001"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kdd-repro simulate: unknown policy 'bogus'")
+        assert "Traceback" not in err
 
     def test_simulate_compression_flag(self, capsys):
         rc = cli_main([
@@ -65,6 +77,26 @@ class TestRunCommand:
     def test_seed_flag_accepted(self, capsys):
         rc = cli_main(["run", "table1", "--scale", "0.001", "--seed", "7"])
         assert rc == 0
+
+    def test_negative_scale_exits_2(self, capsys):
+        assert cli_main(["run", "fig5", "--scale", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kdd-repro run: scale factor must be positive")
+
+    def test_unknown_figure_exits_2(self, capsys):
+        assert cli_main(["run", "fig99"]) == 2
+        assert "kdd-repro run: unknown figures: ['fig99']" in \
+            capsys.readouterr().err
+
+    def test_errors_exit_2_without_traceback_in_a_subprocess(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.harness.cli", "run", "table1",
+             "--jobs", "0"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "kdd-repro run: jobs must be >= 1, got 0\n"
 
 
 class TestServeCommand:
@@ -98,6 +130,7 @@ class TestServeCommand:
         assert {row["plan"] for row in rows} == {"static", "dynamic"}
         assert all(row["per_tenant"] for row in rows)
 
-    def test_serve_rejects_unknown_plan(self):
-        with pytest.raises(SystemExit):
-            cli_main(["serve", "--plans", "static,bogus"])
+    def test_serve_rejects_unknown_plan(self, capsys):
+        assert cli_main(["serve", "--plans", "static,bogus"]) == 2
+        assert "kdd-repro serve: unknown plans ['bogus']" in \
+            capsys.readouterr().err

@@ -547,8 +547,9 @@ class TestFaultSweep:
         assert again.read_text() == trace_path.read_text()
 
     def test_cli_rejects_unknown_retry(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["faults", "--retries", "bogus"])
+        assert cli_main(["faults", "--retries", "bogus"]) == 2
+        assert "kdd-repro faults: unknown retry policies ['bogus']" in \
+            capsys.readouterr().err
 
 
 class TestDemoEventLog:
