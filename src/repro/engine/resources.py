@@ -307,10 +307,10 @@ class SSDResource(Resource):
 
         Channels are ranked by ``(busy_until, index)`` and pages dealt
         round-robin over that ranking, so equally-idle channels fill
-        from index 0 upward.
+        from index 0 upward (the sort is stable over ascending indices,
+        so ranking by ``busy_until`` alone keeps that tie-break).
         """
-        order = sorted(range(self.channels),
-                       key=lambda c: (self.channel_busy[c], c))
+        order = sorted(range(self.channels), key=self.channel_busy.__getitem__)
         assert all(
             self.channel_busy[a] < self.channel_busy[b] or a < b
             for a, b in zip(order, order[1:])

@@ -213,10 +213,11 @@ class SimEngine:
                 self.run_disk_phases(out.bg_disk_ops, completion,
                                      Priority.BACKGROUND, "bg")
         self.recorder.record(completion - arrival)
-        record = RequestRecord(lba=lba, npages=npages, is_read=is_read,
-                               arrival=arrival, completion=completion)
-        for hook in self.hooks:
-            hook.on_request_done(self, record)
+        if self.hooks:  # only hooks read the record
+            record = RequestRecord(lba=lba, npages=npages, is_read=is_read,
+                                   arrival=arrival, completion=completion)
+            for hook in self.hooks:
+                hook.on_request_done(self, record)
         return completion
 
     @raises(SimulationError)

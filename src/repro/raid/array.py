@@ -85,6 +85,8 @@ class RaidCounters:
 
 
 def _check_range(lpage: int, npages: int, capacity: int) -> None:
+    if npages < 1:
+        raise ConfigError("npages must be >= 1")
     if lpage < 0 or lpage + npages > capacity:
         raise ConfigError(f"logical pages [{lpage}, {lpage + npages}) out of range")
 
@@ -92,6 +94,21 @@ def _check_range(lpage: int, npages: int, capacity: int) -> None:
 def _check_delayed_parity(level: RaidLevel) -> None:
     if level not in (RaidLevel.RAID5, RaidLevel.RAID6):
         raise RaidError("delayed parity requires a parity RAID level")
+
+
+def _use_rcw(data_disks: int, parity_disks: int, k: int) -> bool:
+    """Whether ``k`` pages written at one stripe offset take
+    reconstruct-write rather than read-modify-write.
+
+    Classic RAID-5/6 small-write logic, decided from counts alone:
+    reconstruct-write reads the ``data_disks - k`` untouched chunks,
+    read-modify-write reads the ``k`` old chunks and every parity unit.
+    A full-offset write always reconstructs.
+    """
+    untouched = data_disks - k
+    rmw_ios = 2 * k + 2 * parity_disks  # read+write each written chunk & parity
+    rcw_ios = untouched + k + parity_disks  # read others, write new + parity
+    return rcw_ios < rmw_ios or not untouched
 
 
 class FastAccounting:
@@ -106,10 +123,10 @@ class FastAccounting:
     array's :meth:`~RAIDArray.read`, :meth:`~RAIDArray.write` and
     :meth:`~RAIDArray.write_without_parity_update` calls — same
     signatures, range checks and errors — and returns no member ops;
-    ``parity_update`` stays on the array.  The deltas mirror
-    :meth:`RAIDArray._write_group`'s read-modify-write vs
-    reconstruct-write choice exactly.  Obtain one from
-    :meth:`RAIDArray.fast_account`.
+    ``parity_update`` stays on the array.  The deltas follow the
+    read-modify-write vs reconstruct-write choice of :func:`_use_rcw`,
+    the helper :meth:`RAIDArray._write_group` also calls.  Obtain one
+    from :meth:`RAIDArray.fast_account`.
     """
 
     __slots__ = (
@@ -146,11 +163,8 @@ class FastAccounting:
         if self.level is RaidLevel.RAID1:
             return 0, 0, k * self.ndisks, 0
         n_parity = self.parity_disks
-        untouched = self.data_disks - k
-        rmw_ios = 2 * k + 2 * n_parity
-        rcw_ios = untouched + k + n_parity
-        if rcw_ios < rmw_ios or not untouched:
-            return untouched, 0, k, n_parity
+        if _use_rcw(self.data_disks, n_parity, k):
+            return self.data_disks - k, 0, k, n_parity
         return k, n_parity, k, n_parity
 
     def _account(self, ios: tuple[int, int, int, int]) -> None:
@@ -451,7 +465,9 @@ class RAIDArray:
                         break
             else:
                 self.media_errors.discard(key)
-                self._recompute_parity_at(stripe, offset)
+                self._recompute_parity_at(
+                    stripe, offset, self._stripe_parity_locations(stripe, offset)
+                )
         self.media_errors.discard(key)
         self.counters.account(ops)
         return ops
@@ -532,17 +548,21 @@ class RAIDArray:
         self._check_lpage(lpage, npages)
         if data is not None and len(data) != npages:
             raise ConfigError("data must contain one payload per page")
+        layout = self.layout
         ops: list[DiskOp] = []
-        # group written pages by (stripe, offset-within-chunk)
+        # Locate each page once and group the placements by (stripe,
+        # offset-within-chunk); the groups never locate a page again.
         groups: dict[tuple[int, int], list[int]] = {}
+        locs: list[PageLocation] = []
         for i, page in enumerate(range(lpage, lpage + npages)):
-            loc = self.layout.locate(page)
-            offset = loc.disk_page - loc.stripe * self.layout.chunk_pages
+            loc = layout.locate(page)
+            locs.append(loc)
+            offset = loc.disk_page - loc.stripe * layout.chunk_pages
             groups.setdefault((loc.stripe, offset), []).append(i)
         for (stripe, offset), idxs in groups.items():
-            pages = [lpage + i for i in idxs]
             payloads = [data[i] for i in idxs] if data is not None else None
-            ops.extend(self._write_group(stripe, offset, pages, payloads))
+            ops.extend(self._write_group(stripe, offset,
+                                         [locs[i] for i in idxs], payloads))
         self.counters.account(ops)
         return ops
 
@@ -550,16 +570,16 @@ class RAIDArray:
         self,
         stripe: int,
         offset: int,
-        pages: list[int],
+        locs: list[PageLocation],
         payloads: list[bytes | np.ndarray] | None,
     ) -> list[DiskOp]:
-        layout = self.layout
+        """Member ops of the pages placed at ``locs``, all at one stripe
+        offset."""
         if self.level is RaidLevel.RAID0:
-            return self._write_plain(pages, payloads)
+            return self._write_plain(locs, payloads)
         if self.level is RaidLevel.RAID1:
             ops = []
-            for i, page in enumerate(pages):
-                loc = layout.locate(page)
+            for i, loc in enumerate(locs):
                 for mirror in range(self.ndisks):
                     if mirror in self.failed_disks:
                         continue
@@ -570,51 +590,45 @@ class RAIDArray:
                         self._put_disk_page(mirror, loc.disk_page, self._zeros())
             return ops
 
-        all_at_offset = self._data_locations_at_offset(stripe, offset)
-        written = set(pages)
-        untouched = [t for t in all_at_offset if t[0] not in written]
-        k = len(pages)  # chunks written at this offset
-        n_parity = self.layout.parity_disks
-        rmw_ios = 2 * k + 2 * n_parity  # read+write each written chunk & parity
-        rcw_ios = len(untouched) + k + n_parity  # read others, write new + parity
-
-        use_rcw = rcw_ios < rmw_ios or not untouched
+        layout = self.layout
+        failed = self.failed_disks
+        parity = self._stripe_parity_locations(stripe, offset)
         ops: list[DiskOp] = []
-        if use_rcw:
-            for _, loc in untouched:
-                if loc.disk in self.failed_disks:
+        if _use_rcw(layout.data_disks_per_stripe, layout.parity_disks,
+                    len(locs)):
+            # read the untouched chunks at this offset
+            written = {loc.disk for loc in locs}
+            for _, loc in self._data_locations_at_offset(stripe, offset):
+                if loc.disk in written or loc.disk in failed:
                     continue
                 ops.append(DiskOp(loc.disk, loc.disk_page, 1, True))
         else:
-            for page in pages:
-                loc = layout.locate(page)
-                if loc.disk in self.failed_disks:
+            for loc in locs:
+                if loc.disk in failed:
                     continue
                 ops.append(DiskOp(loc.disk, loc.disk_page, 1, True))
-            for disk, dpage, kind in self._stripe_parity_locations(stripe, offset):
-                if disk in self.failed_disks:
+            for disk, dpage, kind in parity:
+                if disk in failed:
                     continue
                 ops.append(DiskOp(disk, dpage, 1, True, kind))
 
-        self._apply_payload_writes(stripe, offset, pages, payloads)
+        self._apply_payload_writes(stripe, offset, locs, payloads, parity)
 
-        for page in pages:
-            loc = layout.locate(page)
-            if loc.disk in self.failed_disks:
+        for loc in locs:
+            if loc.disk in failed:
                 continue
             ops.append(DiskOp(loc.disk, loc.disk_page, 1, False))
-        for disk, dpage, kind in self._stripe_parity_locations(stripe, offset):
-            if disk in self.failed_disks:
+        for disk, dpage, kind in parity:
+            if disk in failed:
                 continue
             ops.append(DiskOp(disk, dpage, 1, False, kind))
         return ops
 
     def _write_plain(
-        self, pages: list[int], payloads: list[bytes | np.ndarray] | None
+        self, locs: list[PageLocation], payloads: list[bytes | np.ndarray] | None
     ) -> list[DiskOp]:
         ops = []
-        for i, page in enumerate(pages):
-            loc = self.layout.locate(page)
+        for i, loc in enumerate(locs):
             if loc.disk in self.failed_disks:
                 raise DegradedError("RAID-0 write to failed disk")
             ops.append(DiskOp(loc.disk, loc.disk_page, 1, False))
@@ -629,22 +643,26 @@ class RAIDArray:
         self,
         stripe: int,
         offset: int,
-        pages: list[int],
+        locs: list[PageLocation],
         payloads: list[bytes | np.ndarray] | None,
+        parity: list[tuple[int, int, OpKind]],
     ) -> None:
         """Store new data bytes and recompute parity (store_data mode)."""
         if self._disk_data is None:
             return
-        for i, page in enumerate(pages):
-            loc = self.layout.locate(page)
+        for i, loc in enumerate(locs):
             payload = (
                 self._coerce_page(payloads[i]) if payloads is not None else self._zeros()
             )
             if loc.disk not in self.failed_disks:
                 self._put_disk_page(loc.disk, loc.disk_page, payload)
-        self._recompute_parity_at(stripe, offset)
+        self._recompute_parity_at(stripe, offset, parity)
 
-    def _recompute_parity_at(self, stripe: int, offset: int) -> None:
+    def _recompute_parity_at(
+        self, stripe: int, offset: int, parity: list[tuple[int, int, OpKind]]
+    ) -> None:
+        """Rewrite the ``parity`` units at chunk ``offset`` from the data
+        pages (store_data mode)."""
         assert self._disk_data is not None
         blocks = []
         for _, loc in self._data_locations_at_offset(stripe, offset):
@@ -655,11 +673,11 @@ class RAIDArray:
                     "mode rmw applies deltas and does not hit this limit)"
                 )
             blocks.append(self._get_disk_page(loc.disk, loc.disk_page))
-        for disk, dpage, kind in self._stripe_parity_locations(stripe, offset):
+        for disk, dpage, kind in parity:
             if disk in self.failed_disks:
                 continue
-            parity = compute_p(blocks) if kind is OpKind.PARITY else compute_q(blocks)
-            self._put_disk_page(disk, dpage, parity)
+            unit = compute_p(blocks) if kind is OpKind.PARITY else compute_q(blocks)
+            self._put_disk_page(disk, dpage, unit)
 
     # -- delayed-parity extended interfaces (Section III-A) ----------------------
 
@@ -717,12 +735,13 @@ class RAIDArray:
         if use_rcw:
             # All data known to the caller: write parity only.
             for offset in range(chunk_pages):
-                for disk, dpage, kind in self._stripe_parity_locations(stripe, offset):
+                parity = self._stripe_parity_locations(stripe, offset)
+                for disk, dpage, kind in parity:
                     if disk in self.failed_disks:
                         continue
                     ops.append(DiskOp(disk, dpage, 1, False, kind))
                 if self._disk_data is not None:
-                    self._recompute_parity_at(stripe, offset)
+                    self._recompute_parity_at(stripe, offset, parity)
         else:
             # Read stale parity pages, XOR deltas in, write back.
             touched_offsets = sorted(
@@ -733,7 +752,8 @@ class RAIDArray:
                 }
             ) or list(range(chunk_pages))
             for offset in touched_offsets:
-                for disk, dpage, kind in self._stripe_parity_locations(stripe, offset):
+                parity = self._stripe_parity_locations(stripe, offset)
+                for disk, dpage, kind in parity:
                     if disk in self.failed_disks:
                         continue
                     ops.append(DiskOp(disk, dpage, 1, True, kind))
@@ -741,7 +761,7 @@ class RAIDArray:
                 if self._disk_data is not None:
                     # With payload we recompute exactly; the delta-XOR path is
                     # verified equivalent by the test suite.
-                    self._recompute_parity_at(stripe, offset)
+                    self._recompute_parity_at(stripe, offset, parity)
         self.stale_stripes.discard(stripe)
         self.counters.account(ops)
         return ops

@@ -173,7 +173,10 @@ def finish_rebuild(array: RAIDArray, disk: int) -> None:
         for stripe in range(max_stripe):
             if disk in (layout.parity_disk(stripe), layout.q_disk(stripe)):
                 for offset in range(layout.chunk_pages):
-                    array._recompute_parity_at(stripe, offset)
+                    array._recompute_parity_at(
+                        stripe, offset,
+                        array._stripe_parity_locations(stripe, offset),
+                    )
     else:
         array.failed_disks.discard(disk)
 

@@ -1,11 +1,12 @@
 """Generate the pinned row checksums (tests/test_pinned_rows.py).
 
 A tiny cell per path whose numerics no other tier-1 test pins exactly:
-the serve drive (static and dynamic partitioning) and the flash model
-(WT and KDD on one trace).  Each is stored as the row checksum
-``kdd-repro bench`` uses, so any numeric drift on these paths fails
-``pytest`` before the ``kdd-repro bench --check`` job runs.  The timed
-engine's replay and fio rows are pinned by
+the serve drive (static and dynamic partitioning), the flash model
+(WT and KDD on one trace), and the trace figures fig4-fig8 as
+``bench_figure`` grids at scale 0.001.  Each is stored as the row
+checksum ``kdd-repro bench`` uses, so any numeric drift on these paths
+fails ``pytest`` before the ``kdd-repro bench --check`` job runs.  The
+timed engine's replay and fio rows are pinned by
 ``tests/test_engine_equivalence.py`` against ``timing_goldens.json``.
 
 Usage::
@@ -22,6 +23,10 @@ import json
 from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).with_name("row_goldens.json")
+
+#: Trace figures pinned as whole ``bench_figure`` grids, at this scale.
+FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8")
+FIGURE_SCALE = 0.001
 
 
 def cells():
@@ -44,14 +49,22 @@ def cells():
     }
 
 
+def names() -> list[str]:
+    """Every pinned name, in the order the goldens file lists them."""
+    return [*cells(), *FIGURES]
+
+
 def collect() -> dict[str, str]:
-    """Name -> row checksum for every pinned cell, run on this tree."""
-    from repro.harness.bench import _checksum
+    """Name -> row checksum for every pinned name, run on this tree."""
+    from repro.harness.bench import _checksum, bench_figure
     from repro.harness.sweep import SweepEngine
 
     named = cells()
     rows = SweepEngine(jobs=1).run(list(named.values())).rows
-    return {name: _checksum([row]) for name, row in zip(named, rows)}
+    out = {name: _checksum([row]) for name, row in zip(named, rows)}
+    for fig in FIGURES:
+        out[fig] = bench_figure(fig, scale=FIGURE_SCALE)["row_checksum"]
+    return out
 
 
 def main() -> int:

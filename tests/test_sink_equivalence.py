@@ -275,13 +275,14 @@ def test_unhealthy_array_keeps_the_array_path(name, state, monkeypatch):
     ops=st.lists(
         st.tuples(st.sampled_from(("read", "write", "delayed")),
                   st.integers(min_value=-2, max_value=300),
-                  st.integers(min_value=1, max_value=40)),
+                  st.integers(min_value=-2, max_value=40)),
         max_size=40,
     ),
 )
 def test_sink_ops_match_array_ops(layout, ops):
     """Op by op, multi-page writes included: same counters, stale
-    stripes and errors as the array."""
+    stripes and errors as the array (a non-positive length raises on
+    both)."""
     level, ndisks = layout
     array, other = (RAIDArray(level, ndisks=ndisks, chunk_pages=4,
                               pages_per_disk=64) for _ in range(2))
