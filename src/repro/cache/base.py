@@ -89,7 +89,7 @@ class CacheConfig:
         return max(4, floor, by_frac)
 
 
-@dataclass
+@dataclass(slots=True)
 class Outcome:
     """Device work caused by one page access."""
 

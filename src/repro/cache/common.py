@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..nvram.metabuffer import PageState
+from ..nvram.metabuffer import CLEAN, PageState
 from ..raid.array import RAIDArray
 from .admission import make_admission
 from .base import CacheConfig, CachePolicy, Outcome
@@ -30,11 +30,15 @@ class SetAssocPolicy(CachePolicy):
     # -- allocation --------------------------------------------------------
 
     def _data_lpn(self, line: CacheLine) -> int:
-        """SSD page backing a DAZ line (data partition starts after metadata)."""
-        return self.meta_pages + self.sets.lpn_of(line.set_idx, line.slot)
+        """SSD page backing a DAZ line (data partition starts after metadata).
+
+        :meth:`CacheSets.lpn_of`'s arithmetic, spelled out: this runs on
+        every fill and write hit.
+        """
+        return self.meta_pages + line.set_idx * self.sets.ways + line.slot
 
     def _evict_one_clean(self, set_idx: int) -> bool:
-        victim = self.sets.evict_candidate(set_idx, (PageState.CLEAN,))
+        victim = self.sets.evict_candidate(set_idx, (CLEAN,))
         if victim is None:
             return False
         self._drop_line(victim)
@@ -43,7 +47,8 @@ class SetAssocPolicy(CachePolicy):
     def _drop_line(self, line: CacheLine) -> None:
         """Remove a line from the cache (hook for metadata bookkeeping)."""
         self.sets.remove(line.lba)
-        self._ssd_trim(self._data_lpn(line))
+        if self.ssd is not None:
+            self._ssd_trim(self._data_lpn(line))
 
     def _make_room(self, set_idx: int) -> bool:
         """Try to free a slot in ``set_idx``; False means bypass the cache."""
@@ -84,7 +89,7 @@ class SetAssocPolicy(CachePolicy):
         self.stats.read_misses += 1
         disk_ops = self.io.read(lba)
         out = Outcome(hit=False, is_read=True, fg_disk_ops=disk_ops)
-        line = self._admit_and_alloc(lba, PageState.CLEAN)
+        line = self._admit_and_alloc(lba, CLEAN)
         if line is not None:
             self._on_line_allocated(line, "fill")
             out.bg_ssd_writes += 1

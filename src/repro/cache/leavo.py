@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..nvram.metabuffer import PageState
+from ..nvram.metabuffer import CLEAN, OLD
 from ..raid.array import RAIDArray
 from .base import CacheConfig, Outcome
 from .common import SetAssocPolicy
@@ -35,12 +35,20 @@ class LeavO(SetAssocPolicy):
         super().__init__(config, raid)
         self._stale_order: OrderedDict[int, None] = OrderedDict()
         self._meta_byte_acc = 0
+        # Hot-path constants: cleaning starts above _pinned_limit pinned
+        # slots and stops at _clean_target.
+        self._pinned_limit = config.dirty_threshold * config.cache_pages
+        self._clean_target = config.low_watermark * config.cache_pages
+        self._stripe_data_pages = raid.layout.stripe_data_pages
 
     # -- metadata accounting ---------------------------------------------------
 
     def _meta_update(self, n: int = 1) -> None:
-        self._meta_byte_acc += n * self.meta_bytes_per_update
-        pages, self._meta_byte_acc = divmod(self._meta_byte_acc, self.config.page_size)
+        acc = self._meta_byte_acc + n * self.meta_bytes_per_update
+        if acc < self.config.page_size:
+            self._meta_byte_acc = acc
+            return
+        pages, self._meta_byte_acc = divmod(acc, self.config.page_size)
         for _ in range(pages):
             self.stats.meta_writes += 1
             if self.ssd is not None:
@@ -71,7 +79,7 @@ class LeavO(SetAssocPolicy):
         self.stats.write_hits += 1
         self.sets.touch(lba)
         self.admission.on_cache_hit(lba)
-        if line.state is PageState.OLD:
+        if line.state is OLD:
             # overwrite the latest-version copy in place
             twin = line.aux
             self._ssd_write(
@@ -94,12 +102,12 @@ class LeavO(SetAssocPolicy):
                 fg_disk_ops=self.io.write(lba),
                 bg_ssd_writes=1,
             )
-        self.sets.set_state(lba, PageState.OLD)
+        self.sets.set_state(lba, OLD)
         line.aux = twin
         self._ssd_write(self.meta_pages + self.sets.lpn_of(line.set_idx, twin), "data")
         self._meta_update()
         ops = self.io.write_without_parity_update(lba)
-        self._stale_order.setdefault(self.raid.layout.stripe_of(lba), None)
+        self._stale_order.setdefault(lba // self._stripe_data_pages, None)
         out = Outcome(hit=True, is_read=False, fg_disk_ops=ops, bg_ssd_writes=1)
         self._maybe_clean(out)
         return out
@@ -108,7 +116,7 @@ class LeavO(SetAssocPolicy):
         self.stats.write_misses += 1
         disk_ops = self.io.write(lba)
         out = Outcome(hit=False, is_read=False, fg_disk_ops=disk_ops)
-        line = self._admit_and_alloc(lba, PageState.CLEAN)
+        line = self._admit_and_alloc(lba, CLEAN)
         if line is not None:
             self._on_line_allocated(line, "data")
             out.bg_ssd_writes += 1
@@ -120,24 +128,20 @@ class LeavO(SetAssocPolicy):
             return slot
         # evict the LRU clean page that is not the line being written
         for cand in self.sets.lines_in_set(line.set_idx):
-            if cand.state is PageState.CLEAN and cand.lba != line.lba:
+            if cand.state is CLEAN and cand.lba != line.lba:
                 self._drop_line(cand)
                 return self.sets.borrow_slot(line.set_idx)
         return None
 
     # -- cleaning ---------------------------------------------------------------
 
-    @property
-    def _pinned_pages(self) -> int:
-        # each OLD line pins two slots (old + latest)
-        return 2 * self.sets.count(PageState.OLD)
-
     def _maybe_clean(self, out: Outcome) -> None:
-        limit = self.config.dirty_threshold * self.config.cache_pages
-        if self._pinned_pages <= limit:
+        # each OLD line pins two slots (old + latest)
+        count = self.sets.count
+        if 2 * count(OLD) <= self._pinned_limit:
             return
-        target = self.config.low_watermark * self.config.cache_pages
-        while self._stale_order and self._pinned_pages > target:
+        target = self._clean_target
+        while self._stale_order and 2 * count(OLD) > target:
             stripe = next(iter(self._stale_order))
             del self._stale_order[stripe]
             self._clean_stripe(stripe, out)
@@ -147,7 +151,7 @@ class LeavO(SetAssocPolicy):
         cached = self.sets.resident_in_range(stripe_lbas.start, stripe_lbas.stop)
         old_lines = [
             l for lba in cached
-            if (l := self.sets.lookup(lba)).state is PageState.OLD
+            if (l := self.sets.lookup(lba)).state is OLD
         ]
         if not old_lines:
             self.raid.parity_update(stripe, deltas={}, cached_pages=[])
@@ -166,7 +170,7 @@ class LeavO(SetAssocPolicy):
             freed = self.sets.adopt_borrowed(line.lba, line.aux)
             self._ssd_trim(self.meta_pages + self.sets.lpn_of(line.set_idx, freed))
             line.aux = None
-            self.sets.set_state(line.lba, PageState.CLEAN)
+            self.sets.set_state(line.lba, CLEAN)
             self._meta_update()
 
     def _make_room(self, set_idx: int) -> bool:
@@ -175,8 +179,8 @@ class LeavO(SetAssocPolicy):
         # the set is pinned by old/latest pairs: clean their stripes now
         sink = Outcome(hit=False, is_read=False)
         for line in list(self.sets.lines_in_set(set_idx)):
-            if line.state is PageState.OLD:
-                stripe = self.raid.layout.stripe_of(line.lba)
+            if line.state is OLD:
+                stripe = line.lba // self._stripe_data_pages
                 self._stale_order.pop(stripe, None)
                 self._clean_stripe(stripe, sink)
         return self._evict_one_clean(set_idx)
@@ -191,7 +195,7 @@ class LeavO(SetAssocPolicy):
     def check_invariants(self) -> None:
         super().check_invariants()
         for line in self.sets.all_lines():
-            if line.state is PageState.OLD:
+            if line.state is OLD:
                 assert line.aux is not None
-            elif line.state is PageState.CLEAN:
+            elif line.state is CLEAN:
                 assert line.aux is None

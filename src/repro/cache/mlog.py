@@ -107,36 +107,41 @@ class MetadataLog:
     # -- the public recording interface -------------------------------------
 
     def record(self, entry: MappingEntry) -> None:
-        """Buffer a new mapping entry; commits a page when the buffer fills."""
-        self._supersede(entry.lba_raid)
-        self.reserve()
-        if self.shim is not None:
-            self.shim.point("meta_put", lba=entry.lba_raid)
-        self.buffer.put(entry)
+        """Buffer a new mapping entry; commits a page when the buffer fills.
 
-    def reserve(self, slots: int = 1) -> None:
-        """Commit pages until the NVRAM buffer has ``slots`` free entries.
-
-        Callers that must pair a mapping record with other NVRAM writes
-        in one journaled transaction reserve the room first, so the
-        record itself can never trigger a flash program mid-transaction.
+        A full buffer is committed before the put even when the entry
+        would coalesce with a buffered one for the same page.
         """
-        attempts = 2 * self.capacity_pages
-        while self.buffer.capacity_entries - len(self.buffer) < slots:
-            if attempts == 0:
-                raise RecoveryError(
-                    "metadata partition too small for the live mapping"
-                )
-            attempts -= 1
-            self.commit()
-
-    def _supersede(self, lba_raid: int) -> None:
-        """The current persisted entry for this page (if any) becomes dead."""
+        lba_raid = entry.lba_raid
+        # The current persisted entry for this page (if any) becomes dead.
         seq = self._location.pop(lba_raid, None)
         if seq is not None:
             live = self._page_live.get(seq)
             if live is not None:
                 live.pop(lba_raid, None)
+        buffer = self.buffer
+        if buffer.full:
+            self.reserve()
+        if self.shim is not None:
+            self.shim.point("meta_put", lba=lba_raid)
+        buffer.put(entry)
+
+    def reserve(self) -> None:
+        """Commit pages until the NVRAM buffer has room for one entry.
+
+        Callers that must pair a mapping record with other NVRAM writes
+        in one journaled transaction reserve the room first, so the
+        record itself can never trigger a flash program mid-transaction.
+        """
+        buffer = self.buffer
+        if not buffer.full:
+            return
+        # A commit can refill the buffer with entries its GC relocates.
+        for _ in range(2 * self.capacity_pages):
+            self.commit()
+            if not buffer.full:
+                return
+        raise RecoveryError("metadata partition too small for the live mapping")
 
     def commit(self) -> None:
         """Flush the metadata buffer to a new page at the tail of the log."""

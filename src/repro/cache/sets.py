@@ -191,7 +191,7 @@ class CacheSets:
         if not cset.free_slots:
             return None
         slot = cset.free_slots.pop()
-        line = CacheLine(lba=lba, slot=slot, set_idx=set_idx, state=state, aux=aux)
+        line = CacheLine(lba, slot, set_idx, state, aux)
         cset.entries[lba] = line
         self._state_counts[state] += 1
         self._membership_update(set_idx, slot, lba, line)

@@ -9,7 +9,7 @@ stream (bad for flash endurance).
 
 from __future__ import annotations
 
-from ..nvram.metabuffer import PageState
+from ..nvram.metabuffer import CLEAN
 from .base import Outcome
 from .common import SetAssocPolicy
 
@@ -33,7 +33,7 @@ class WriteThrough(SetAssocPolicy):
             )
         self.stats.write_misses += 1
         out = Outcome(hit=False, is_read=False, fg_disk_ops=disk_ops)
-        line = self._admit_and_alloc(lba, PageState.CLEAN)
+        line = self._admit_and_alloc(lba, CLEAN)
         if line is not None:
             self._on_line_allocated(line, "data")
             out.bg_ssd_writes += 1

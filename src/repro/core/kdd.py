@@ -41,7 +41,7 @@ from ..cache.sets import CacheLine
 from ..delta.model import GaussianDeltaModel
 from ..delta.packer import DELTA_HEADER_BYTES, pack_deltas
 from ..errors import CacheError, ConfigError
-from ..nvram.metabuffer import MappingEntry, PageState
+from ..nvram.metabuffer import CLEAN, DELTA, FREE, OLD, MappingEntry, PageState
 from ..nvram.staging import StagingBuffer
 from ..raid.array import RAIDArray
 
@@ -127,6 +127,7 @@ class KDD(SetAssocPolicy):
         self._max_delta = config.page_size - DELTA_HEADER_BYTES
         self._dirty_limit = config.dirty_threshold * config.cache_pages
         self._clean_target = config.low_watermark * config.cache_pages
+        self._stripe_data_pages = raid.layout.stripe_data_pages
 
     # -- metadata helpers --------------------------------------------------
 
@@ -137,38 +138,42 @@ class KDD(SetAssocPolicy):
         shim = self.shim
         return shim.txn() if shim is not None else _NULL_TXN
 
-    def _meta_record(self, entry: MappingEntry) -> None:
-        before = self.mlog.meta_page_writes
-        self.mlog.record(entry)
-        self.stats.meta_writes += self.mlog.meta_page_writes - before
+    # Each mapping change is one ``mlog.record`` of a positionally built
+    # entry.  ``stats.meta_writes`` counts the page commits that happen
+    # inside that call; commits made ahead of time by ``mlog.reserve``
+    # are not counted (a known undercount, kept so rows stay pinned).
 
-    def _record_clean(self, line: CacheLine) -> None:
-        self._meta_record(
-            MappingEntry(
-                lba_raid=line.lba, state=PageState.CLEAN, lba_daz=self._data_lpn(line)
-            )
-        )
+    def _record_clean(self, line: CacheLine, lpn: int) -> None:
+        """Journal ``line`` as CLEAN with its data at SSD page ``lpn``."""
+        mlog = self.mlog
+        before = mlog.meta_page_writes
+        mlog.record(MappingEntry(line.lba, CLEAN, lpn))
+        self.stats.meta_writes += mlog.meta_page_writes - before
 
     def _record_old(self, line: CacheLine, ref: DeltaRef, off: int, length: int) -> None:
-        self._meta_record(
-            MappingEntry(
-                lba_raid=line.lba,
-                state=PageState.OLD,
-                lba_daz=self._data_lpn(line),
-                lba_dez=ref.dez_lpn if ref.dez_lpn is not None else -1,
-                dez_off=off,
-                dez_len=length,
-            )
-        )
+        mlog = self.mlog
+        before = mlog.meta_page_writes
+        dez_lpn = ref.dez_lpn
+        mlog.record(MappingEntry(
+            line.lba, OLD, self._data_lpn(line),
+            dez_lpn if dez_lpn is not None else -1, off, length,
+        ))
+        self.stats.meta_writes += mlog.meta_page_writes - before
 
     def _record_free(self, lba: int) -> None:
-        self._meta_record(MappingEntry(lba_raid=lba, state=PageState.FREE))
+        mlog = self.mlog
+        before = mlog.meta_page_writes
+        mlog.record(MappingEntry(lba, FREE))
+        self.stats.meta_writes += mlog.meta_page_writes - before
 
     # -- allocation hooks -------------------------------------------------------
+    # Both hooks spell out the base class's body instead of calling it:
+    # they run on every fill and eviction.
 
     def _on_line_allocated(self, line: CacheLine, kind: str) -> None:
-        super()._on_line_allocated(line, kind)
-        self._record_clean(line)
+        lpn = self._data_lpn(line)
+        self._ssd_write(lpn, kind)
+        self._record_clean(line, lpn)
 
     def _drop_line(self, line: CacheLine) -> None:
         # One journaled transaction: directory removal and the FREE
@@ -178,17 +183,18 @@ class KDD(SetAssocPolicy):
         # mid-transaction.
         self.mlog.reserve()
         with self._txn():
-            super()._drop_line(line)
+            self.sets.remove(line.lba)
+            if self.ssd is not None:
+                self._ssd_trim(self._data_lpn(line))
             self._record_free(line.lba)
 
     def _daz_budget_ok(self) -> bool:
-        if self.fixed_dez_fraction is None:
-            return True
-        daz = self.sets.count(PageState.CLEAN) + self.sets.count(PageState.OLD)
+        """Fixed-partition ablation: is DAZ quota left?"""
+        daz = self.sets.count(CLEAN) + self.sets.count(OLD)
         return daz < (1.0 - self.fixed_dez_fraction) * self.config.cache_pages
 
     def _alloc_line(self, lba: int, state: PageState) -> CacheLine | None:
-        if not self._daz_budget_ok():
+        if self.fixed_dez_fraction is not None and not self._daz_budget_ok():
             # fixed-partition ablation: DAZ quota exhausted, evict from DAZ
             if not self._make_room(self.sets.set_of(lba)):
                 self.stats.bypasses += 1
@@ -201,9 +207,9 @@ class KDD(SetAssocPolicy):
         # the set is pinned by old/delta pages: clean its stripes now
         sink = Outcome(hit=False, is_read=False)
         stripes = {
-            self.raid.layout.stripe_of(l.lba)
+            l.lba // self._stripe_data_pages
             for l in self.sets.lines_in_set(set_idx)
-            if l.state is PageState.OLD
+            if l.state is OLD
         }
         if not stripes:
             return False
@@ -216,7 +222,7 @@ class KDD(SetAssocPolicy):
     # -- reads -------------------------------------------------------------------
 
     def _read_hit(self, line: CacheLine) -> Outcome:
-        if line.state is PageState.OLD:
+        if line.state is OLD:
             ref: DeltaRef = line.aux
             npages = 1 + (1 if ref.dez_lpn is not None else 0)
             self._ssd_read(npages)
@@ -260,9 +266,9 @@ class KDD(SetAssocPolicy):
         self._ssd_read(1)
         out.fg_ssd_reads += 1
 
-        self._stale_order.setdefault(self.raid.layout.stripe_of(lba), None)
-        if line.state is PageState.CLEAN:
-            self.sets.set_state(lba, PageState.OLD)
+        self._stale_order.setdefault(lba // self._stripe_data_pages, None)
+        if line.state is CLEAN:
+            self.sets.set_state(lba, OLD)
             line.aux = DeltaRef(size=size)
             self._stage_delta(lba, size, out)
         else:
@@ -283,7 +289,7 @@ class KDD(SetAssocPolicy):
     def _write_miss(self, lba: int) -> Outcome:
         self.stats.write_misses += 1
         out = Outcome(hit=False, is_read=False, fg_disk_ops=self.io.write(lba))
-        line = self._admit_and_alloc(lba, PageState.CLEAN)
+        line = self._admit_and_alloc(lba, CLEAN)
         if line is not None:
             self._on_line_allocated(line, "data")
             out.bg_ssd_writes += 1
@@ -309,7 +315,7 @@ class KDD(SetAssocPolicy):
             # fully pinned), repairing its parity and reclaiming the line —
             # the fresh delta is then no longer needed.
             line = self.sets.lookup(lba)
-            if line is None or line.state is not PageState.OLD:
+            if line is None or line.state is not OLD:
                 return False
         self.staging.put(lba, size)
         return True
@@ -350,7 +356,7 @@ class KDD(SetAssocPolicy):
             d
             for d in items
             if (l := self.sets.lookup(d.lba)) is not None
-            and l.state is PageState.OLD
+            and l.state is OLD
             and l.aux is not None
             and l.aux.dez_lpn is None
         ]
@@ -365,7 +371,7 @@ class KDD(SetAssocPolicy):
             # deltas right now; the deltas then die without a DEZ write
             # (each line's reclaim releases its flushing copy).
             self.forced_cleanings += 1
-            stripes = {self.raid.layout.stripe_of(d.lba) for d in kept}
+            stripes = {d.lba // self._stripe_data_pages for d in kept}
             for stripe in sorted(stripes):
                 self._stale_order.pop(stripe, None)
                 self._clean_stripe(stripe, out)
@@ -385,7 +391,7 @@ class KDD(SetAssocPolicy):
         out.bg_ssd_writes += 1
         for d in packed.deltas:
             line = self.sets.lookup(d.lba)
-            if line is None or line.state is not PageState.OLD:
+            if line is None or line.state is not OLD:
                 raise CacheError(f"staged delta for non-old page {d.lba}")
             ref: DeltaRef = line.aux
             # One journaled transaction per delta: the DEZ pointer becomes
@@ -440,13 +446,15 @@ class KDD(SetAssocPolicy):
     @property
     def dirty_pages(self) -> int:
         """Old + delta pages: what cleaning is triggered on."""
-        return self.sets.count(PageState.OLD) + self.sets.dez_pages
+        return self.sets.count(OLD) + self.sets.dez_pages
 
     def _maybe_clean(self, out: Outcome) -> None:
-        if self.dirty_pages <= self._dirty_limit:
+        # dirty_pages, counted without the property call on every access
+        count = self.sets.count
+        if count(OLD) + count(DELTA) <= self._dirty_limit:
             return
         target = self._clean_target
-        while self._stale_order and self.dirty_pages > target:
+        while self._stale_order and count(OLD) + count(DELTA) > target:
             stripe = next(iter(self._stale_order))
             del self._stale_order[stripe]
             self._clean_stripe(stripe, out)
@@ -457,7 +465,7 @@ class KDD(SetAssocPolicy):
         cached = self.sets.resident_in_range(stripe_lbas.start, stripe_lbas.stop)
         old_lines = [
             l for lba in cached
-            if (l := self.sets.lookup(lba)).state is PageState.OLD
+            if (l := self.sets.lookup(lba)).state is OLD
         ]
         deltas = {l.lba: b"" for l in old_lines}
         if not deltas:
@@ -501,10 +509,11 @@ class KDD(SetAssocPolicy):
                 if self.reclaim_merge:
                     # alternative scheme: merge old+delta, keep the page clean
                     line.aux = None
-                    self.sets.set_state(line.lba, PageState.CLEAN)
-                    self._ssd_write(self._data_lpn(line), "data")
+                    self.sets.set_state(line.lba, CLEAN)
+                    lpn = self._data_lpn(line)
+                    self._ssd_write(lpn, "data")
                     out.bg_ssd_writes += 1
-                    self._record_clean(line)
+                    self._record_clean(line, lpn)
                 else:
                     line.aux = None
                     self._drop_line(line)
@@ -524,7 +533,7 @@ class KDD(SetAssocPolicy):
         self.mlog.check_invariants()
         staged = {d.lba for d in self.staging.snapshot()}
         for line in self.sets.all_lines():
-            if line.state is PageState.OLD:
+            if line.state is OLD:
                 ref: DeltaRef = line.aux
                 if ref is None:
                     raise CacheError(f"old page {line.lba} without delta ref")
@@ -535,7 +544,7 @@ class KDD(SetAssocPolicy):
                     dez = self.dez_pages.get(ref.dez_lpn)
                     if dez is None or line.lba not in dez.packed.valid:
                         raise CacheError(f"old page {line.lba}: DEZ delta missing")
-            elif line.state is PageState.CLEAN:
+            elif line.state is CLEAN:
                 if line.aux is not None:
                     raise CacheError(f"clean page {line.lba} carries a delta ref")
                 if line.lba in staged:
@@ -546,7 +555,7 @@ class KDD(SetAssocPolicy):
                 raise CacheError(f"empty DEZ page {lpn} not reclaimed")
             for lba in dez.packed.valid:
                 line = self.sets.lookup(lba)
-                if line is None or line.state is not PageState.OLD:
+                if line is None or line.state is not OLD:
                     raise CacheError(f"DEZ delta for non-old page {lba}")
                 if line.aux.dez_lpn != lpn:
                     raise CacheError(f"DEZ back-reference mismatch for {lba}")

@@ -9,6 +9,7 @@ the delta payloads back to back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import ConfigError
 
@@ -16,9 +17,8 @@ from ..errors import ConfigError
 DELTA_HEADER_BYTES = 8
 
 
-@dataclass(frozen=True, slots=True)
-class PackedDelta:
-    """One delta's placement inside a packed DEZ page."""
+class PackedDelta(NamedTuple):
+    """One delta's placement inside a packed DEZ page (immutable)."""
 
     lba: int
     offset: int
@@ -75,8 +75,7 @@ def pack_deltas(
         if length <= 0:
             raise ConfigError("no room left in DEZ page")
         page.deltas.append(
-            PackedDelta(lba=lba, offset=cursor + DELTA_HEADER_BYTES, length=length,
-                        payload=payload)
+            PackedDelta(lba, cursor + DELTA_HEADER_BYTES, length, payload)
         )
         page.valid.add(lba)
         cursor += DELTA_HEADER_BYTES + length

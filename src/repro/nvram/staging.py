@@ -20,15 +20,14 @@ every mutation of this buffer.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..delta.packer import DELTA_HEADER_BYTES
 from ..errors import ConfigError
 
 
-@dataclass(frozen=True, slots=True)
-class StagedDelta:
-    """One delta waiting in NVRAM."""
+class StagedDelta(NamedTuple):
+    """One delta waiting in NVRAM (immutable, compared by value)."""
 
     lba: int
     size: int
@@ -95,16 +94,20 @@ class StagingBuffer:
         """
         if size < 1:
             raise ConfigError("delta size must be >= 1 byte")
-        if not self.would_fit_after_coalesce(lba, size):
+        entries = self._entries
+        old = entries.get(lba)
+        used = self._used + size + DELTA_HEADER_BYTES
+        if old is not None:
+            used -= old.size + DELTA_HEADER_BYTES
+        if used > self.capacity_bytes:
             raise ConfigError("staging buffer full; drain before put")
         if self.shim is not None:
             self.shim.point("staging_put", lba=lba)
-        old = self._entries.pop(lba, None)
         if old is not None:
-            self._used -= self._footprint(old.size)
+            del entries[lba]
             self.coalesced += 1
-        self._entries[lba] = StagedDelta(lba=lba, size=size, payload=payload)
-        self._used += self._footprint(size)
+        entries[lba] = StagedDelta(lba, size, payload)
+        self._used = used
 
     def remove(self, lba: int) -> bool:
         """Drop the delta for ``lba`` (invalidation); True if present."""

@@ -191,7 +191,12 @@ class FastAccounting:
         if data is not None and len(data) != npages:
             raise ConfigError("data must contain one payload per page")
         if npages == 1:
-            self._account(self._single)
+            data_reads, parity_reads, data_writes, parity_writes = self._single
+            c = self.counters
+            c.data_reads += data_reads
+            c.parity_reads += parity_reads
+            c.data_writes += data_writes
+            c.parity_writes += parity_writes
             return []
         # the array groups the pages by (stripe, offset within chunk)
         groups = Counter(

@@ -1,5 +1,7 @@
 """Tests for the delta engine: codec roundtrip, ratio model, DEZ packing."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from repro.delta import (
     DeltaCodec,
     GaussianDeltaModel,
     LOCALITY_LEVELS,
+    PackedDelta,
     mutate_page,
     pack_deltas,
 )
@@ -128,3 +131,19 @@ class TestPacker:
         page.invalidate(7)
         with pytest.raises(KeyError):
             page.find(7)
+
+    def test_packed_delta_fields(self):
+        """Field names, order and default, value equality, immutability."""
+        empty = inspect.Parameter.empty
+        params = inspect.signature(PackedDelta).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("lba", empty), ("offset", empty), ("length", empty),
+            ("payload", None),
+        ]
+        d = PackedDelta(7, DELTA_HEADER_BYTES, 100)
+        assert d == PackedDelta(lba=7, offset=DELTA_HEADER_BYTES, length=100,
+                                payload=None)
+        assert d == pack_deltas([(7, 100, None)], 4096).deltas[0]
+        assert d != PackedDelta(7, DELTA_HEADER_BYTES, 101)
+        with pytest.raises(AttributeError):
+            d.length = 5

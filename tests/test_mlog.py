@@ -39,6 +39,40 @@ def test_buffered_entries_commit_per_page():
     assert log.used_pages == 1
 
 
+class _OrderShim:
+    """Records the order of the log's crash-point announcements."""
+
+    def __init__(self):
+        self.events = []
+
+    def point(self, kind, **ctx):
+        self.events.append((kind, ctx))
+
+    def flash_point(self, kind, log, seq, entries):
+        self.events.append((kind, {"seq": seq, "n": len(entries)}))
+
+
+@pytest.mark.parametrize("lba", [9, 2], ids=["new-lba", "buffered-lba"])
+def test_record_into_full_buffer_commits_one_page_before_the_put(lba):
+    """A full buffer is committed before the put, even when the entry
+    could coalesce with one already buffered: exactly one page program,
+    then the ``meta_put``, into an empty buffer."""
+    log = make_log(entries_per_page=4)
+    for i in range(4):
+        log.record(clean(i))
+    assert log.buffer.full
+    shim = _OrderShim()
+    log.shim = shim
+    log.record(free(lba))
+    assert shim.events == [
+        ("mlog_commit", {"seq": 0, "n": 4}),
+        ("meta_put", {"lba": lba}),
+    ]
+    assert log.meta_page_writes == 1
+    assert log.buffer.coalesced == 0
+    assert log.buffer.snapshot() == [free(lba)]
+
+
 def test_coalescing_in_buffer_saves_writes():
     log = make_log(entries_per_page=4)
     for _ in range(20):

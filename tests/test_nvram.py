@@ -1,10 +1,18 @@
 """Tests for the NVRAM staging and metadata buffers."""
 
+import inspect
+
 import pytest
 
 from repro.delta.packer import DELTA_HEADER_BYTES
 from repro.errors import ConfigError
-from repro.nvram import MappingEntry, MetadataBuffer, PageState, StagingBuffer
+from repro.nvram import (
+    MappingEntry,
+    MetadataBuffer,
+    PageState,
+    StagedDelta,
+    StagingBuffer,
+)
 
 
 class TestStagingBuffer:
@@ -98,3 +106,46 @@ class TestMetadataBuffer:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ConfigError):
             MetadataBuffer(page_size=8, entry_bytes=16)
+
+
+def _signature(cls):
+    return [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+class TestRecords:
+    """Field names, order, defaults, value equality and immutability of the
+    NVRAM records; hot paths build them positionally."""
+
+    def test_mapping_entry_fields(self):
+        empty = inspect.Parameter.empty
+        assert _signature(MappingEntry) == [
+            ("lba_raid", empty), ("state", empty), ("lba_daz", -1),
+            ("lba_dez", -1), ("dez_off", -1), ("dez_len", -1),
+        ]
+        assert MappingEntry.FLASH_BYTES == 12
+
+    def test_mapping_entry_positional_defaults(self):
+        e = MappingEntry(5, PageState.FREE)
+        assert e == MappingEntry(lba_raid=5, state=PageState.FREE)
+        assert (e.lba_daz, e.lba_dez, e.dez_off, e.dez_len) == (-1, -1, -1, -1)
+        old = MappingEntry(5, PageState.OLD, 70, 80, 8, 100)
+        assert old == MappingEntry(lba_raid=5, state=PageState.OLD, lba_daz=70,
+                                   lba_dez=80, dez_off=8, dez_len=100)
+        assert old != e
+
+    def test_mapping_entry_is_immutable(self):
+        e = MappingEntry(5, PageState.CLEAN, 7)
+        with pytest.raises(AttributeError):
+            e.state = PageState.FREE
+        assert e.state is PageState.CLEAN
+
+    def test_staged_delta_fields(self):
+        empty = inspect.Parameter.empty
+        assert _signature(StagedDelta) == [
+            ("lba", empty), ("size", empty), ("payload", None),
+        ]
+        d = StagedDelta(3, 100)
+        assert d == StagedDelta(lba=3, size=100, payload=None)
+        assert d != StagedDelta(3, 101)
+        with pytest.raises(AttributeError):
+            d.size = 5
