@@ -8,9 +8,9 @@ where quotas follow an EWMA of per-tenant hit density (hits per
 allocated page — ECI-Cache's efficiency signal, arXiv 1805.00976).
 
 Reallocation rebuilds a tenant's directory at the new size strictly via
-the public ``alloc``/``remove`` surface, so every membership mutation
-still routes through the ``_membership_update`` choke point and the
-RPR201-203 effect contracts hold unchanged.  Lines that survive a
+the public ``alloc`` surface, so the new directory's residency index
+and set entries are built by the same code as any fill, and
+``check_invariants`` holds across every resize.  Lines that survive a
 resize are re-filled (one counted SSD write each) and lines that no
 longer fit are dropped — the honest endurance cost of moving quota
 around, visible in the per-tenant ``ssd_writes`` columns.

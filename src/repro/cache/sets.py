@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from ..contracts import columnar, mutates_membership
+from ..contracts import columnar
 from ..errors import CacheError, ConfigError
 from ..nvram.metabuffer import PageState
 
@@ -67,37 +67,8 @@ class CacheSets:
         self.n_sets = max(1, cache_pages // self.ways)
         self.group_pages = group_pages
         self._sets = [_CacheSet(self.ways) for _ in range(self.n_sets)]
-        self._index: dict[int, CacheLine] = {}  # lba -> line (the primary map core)
+        self._index: dict[int, CacheLine] = {}  # lba -> line (the residency map)
         self._state_counts = {s: 0 for s in PageState}
-        # Columnar mirror of the DAZ directory: slot -> resident lba (-1 when
-        # the slot is free, borrowed, or holds a DEZ page).  Kept in lockstep
-        # with _index by _membership_update — the sole writer of the pair —
-        # so membership of a whole address batch can be classified with one
-        # gather+compare (see classify()).
-        self._lba_table = np.full((self.n_sets, self.ways), -1, dtype=np.int64)
-
-    @mutates_membership
-    def _membership_update(
-        self,
-        set_idx: int,
-        slot: int,
-        resident: int,
-        line: CacheLine | None = None,
-    ) -> None:
-        """Sole writer of the membership pair (``_index`` + ``_lba_table``).
-
-        Installs ``resident`` (an lba, or -1 for empty) into the mirror
-        slot; when ``line`` is given the primary index changes in the
-        same step (inserted for ``resident >= 0``, removed for -1).
-        Mirror-only calls (``line=None``) move a resident lba between
-        slots without touching the index (see :meth:`adopt_borrowed`).
-        """
-        if line is not None:
-            if resident >= 0:
-                self._index[resident] = line
-            else:
-                del self._index[line.lba]
-        self._lba_table[set_idx, slot] = resident
 
     # -- placement ----------------------------------------------------------
 
@@ -110,8 +81,9 @@ class CacheSets:
         group = lba // self.group_pages
         return (group * _HASH_MULT) % self.n_sets
 
-    #: Largest lba whose set hash fits int64 arithmetic without overflow
-    #: for any group_pages >= 1 (group <= lba); callers go scalar past it.
+    #: Largest lba whose set hash fits :meth:`set_of_batch`'s int64
+    #: arithmetic for any group_pages >= 1 (group <= lba); callers use the
+    #: scalar :meth:`set_of` past it.
     MAX_VECTOR_LBA = (2**62) // _HASH_MULT
 
     @columnar(
@@ -131,28 +103,15 @@ class CacheSets:
 
         Returns a boolean array: True where the address was resident at
         call time; any later alloc/remove invalidates it for the
-        addresses that moved.  Addresses must not exceed
-        :attr:`MAX_VECTOR_LBA` (the scalar hash uses arbitrary-precision
-        ints; the batch uses int64).
+        addresses that moved.
         """
-        lbas = lbas.astype(np.int64, copy=False)
-        rows = self._lba_table[self.set_of_batch(lbas)]
-        return (rows == lbas[:, None]).any(axis=1)
+        hits = map(self._index.__contains__, lbas.tolist())
+        return np.fromiter(hits, bool, len(lbas))
 
     def resident_in_range(self, start: int, stop: int) -> list[int]:
-        """Ascending resident lbas in ``[start, stop)``, batch-classified.
-
-        Columnar replacement for a per-address membership scan (stripe
-        cleaners probe every page of a stripe); falls back to the scalar
-        scan for the (huge) addresses the int64 set hash cannot take.
-        """
-        if stop <= start:
-            return []
-        if stop - 1 > self.MAX_VECTOR_LBA:
-            index = self._index
-            return [lba for lba in range(start, stop) if lba in index]
-        arr = np.arange(start, stop, dtype=np.int64)
-        return arr[self.classify(arr)].tolist()
+        """Ascending resident lbas in ``[start, stop)``: one index probe
+        per address (stripe cleaners ask for a whole stripe)."""
+        return list(filter(self._index.__contains__, range(start, stop)))
 
     def lpn_of(self, set_idx: int, slot: int) -> int:
         """SSD logical page backing a slot (relative to the data partition)."""
@@ -193,8 +152,8 @@ class CacheSets:
         slot = cset.free_slots.pop()
         line = CacheLine(lba, slot, set_idx, state, aux)
         cset.entries[lba] = line
+        self._index[lba] = line
         self._state_counts[state] += 1
-        self._membership_update(set_idx, slot, lba, line)
         return line
 
     def set_state(self, lba: int, state: PageState) -> CacheLine:
@@ -206,14 +165,13 @@ class CacheSets:
 
     def remove(self, lba: int) -> CacheLine:
         """Free a DAZ line and its slot."""
-        line = self._index.get(lba)
+        line = self._index.pop(lba, None)
         if line is None:
             raise CacheError(f"page {lba} not cached")
         cset = self._sets[line.set_idx]
         del cset.entries[lba]
         cset.free_slots.append(line.slot)
         self._state_counts[line.state] -= 1
-        self._membership_update(line.set_idx, line.slot, -1, line)
         return line
 
     def evict_candidate(
@@ -280,9 +238,6 @@ class CacheSets:
         freed = line.slot
         cset.free_slots.append(freed)
         line.slot = borrowed_slot
-        # mirror-only: the lba stays resident, its slot moves
-        self._membership_update(line.set_idx, freed, -1)
-        self._membership_update(line.set_idx, borrowed_slot, lba)
         return freed
 
     # -- DEZ slots -----------------------------------------------------------
@@ -382,8 +337,6 @@ class CacheSets:
             raise CacheError("index/set entry mismatch")
         if self.dez_pages != sum(len(s.dez_slots) for s in self._sets):
             raise CacheError("DEZ count mismatch")
-        if int((self._lba_table >= 0).sum()) != len(self._index):
-            raise CacheError("lba table population does not match the index")
         for lba, line in self._index.items():
-            if int(self._lba_table[line.set_idx, line.slot]) != lba:
-                raise CacheError(f"lba table mismatch for page {lba}")
+            if self._sets[line.set_idx].entries.get(lba) is not line:
+                raise CacheError(f"index entry for page {lba} is not its set's line")

@@ -1,9 +1,9 @@
-"""Machine-checked effect contracts (DESIGN §12).
+"""Machine-checked columnar contracts (DESIGN §15).
 
 Foundation-layer vocabulary for contracts the whole-program analyzer
-(:mod:`repro.devtools.analyze.effects`) enforces statically.  Like
-:func:`repro.errors.raises`, the decorators here change nothing at
-runtime beyond a marker attribute — they exist so intent is written in
+(:mod:`repro.devtools.analyze.columnar`) enforces statically.  Like
+:func:`repro.errors.raises`, the decorator here changes nothing at
+runtime beyond a marker attribute — it exists so intent is written in
 the code and the analyzer can hold every caller to it.
 """
 
@@ -46,14 +46,3 @@ def columnar(
 
     return decorate
 
-
-def mutates_membership(func: _F) -> _F:
-    """Declare a method as a cache-membership choke point.
-
-    The decorated method is the *only* place allowed to write the
-    membership directory pair of :class:`repro.cache.sets.CacheSets`
-    (``_index`` and its columnar mirror ``_lba_table``), so the two can
-    never drift apart.  Enforced by ``kdd-repro analyze`` (RPR201).
-    """
-    func.__mutates_membership__ = True  # type: ignore[attr-defined]
-    return func

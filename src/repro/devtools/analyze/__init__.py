@@ -17,17 +17,18 @@ RPR108     raising public sim/engine/faults entry point lacks contract
 RPR109     imported name never used
 RPR110     dead public symbol (opt-in, ``--dead-code``)
 RPR111     serve-layer RNG stream seed is not sha256-derived
-RPR201     membership state written outside a choke point
-RPR203     batch reader may write membership state
 RPR205     sweep-worker-reachable code mutates module-level state
 RPR206     ``lru_cache`` on sweep-worker-reachable code (unallowlisted)
 RPR207     power-failure recovery reads outside the crash-surviving surface
 RPR301     index column leaves int64 (dtype-flow taint / @columnar breach)
 RPR302     unsafe cast (float truncation / unit-carrying narrow)
-RPR303     in-place write through a membership-mirror view
 RPR304     boolean-mask misuse (``and``/``or``, chained fancy assignment)
 RPR305     scalar loop over an ndarray in a hot module
 =========  ============================================================
+
+RPR201, RPR203 and RPR303 guarded the ``CacheSets`` int64 mirror of
+its residency index; they were retired with the mirror and their codes
+are not reused.
 
 The analyzer is held to the determinism bar it enforces: findings and
 every export (JSON, DOT, the generated architecture map) are invariant

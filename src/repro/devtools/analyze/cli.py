@@ -1,8 +1,11 @@
 """``kdd-repro analyze`` command line.
 
-Exit codes mirror kdd-lint: 0 clean, 1 findings remain after the
-baseline, 2 usage or configuration error.  Output (human and JSON) is
-byte-identical across runs and file-discovery orders.
+Every run executes every gating analysis family; the export flags
+(``--export-dot``, ``--export-json``, ``--effects-report``,
+``--columnar-report``, ``--write-docs``) each add one artifact to that
+single pass.  Exit codes mirror kdd-lint: 0 clean, 1 findings remain
+after the baseline, 2 usage or configuration error.  Output (human and
+JSON) is byte-identical across runs and file-discovery orders.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .graphio import architecture_md, graph_dot, graph_json
 from .layers import check_layering
 from .project import Project
 from .rngflow import check_rng_provenance
-from .suppress import COLUMNAR_CODES, EFFECTS_CODES, apply_suppressions
+from .suppress import apply_suppressions
 from .unitflow import check_units
 
 _DEFAULT_TARGET = "src/repro"
@@ -59,12 +62,16 @@ def analyze_project(project: Project, dead_code: bool = False) -> list[Finding]:
 
 
 def _parser() -> argparse.ArgumentParser:
+    # No prefix matching: the retired --effects/--columnar would
+    # otherwise abbreviate --effects-report/--columnar-report and write
+    # a report over whatever path followed them.
     parser = argparse.ArgumentParser(
         prog="kdd-repro analyze",
+        allow_abbrev=False,
         description="Whole-program static analysis: layering contract, "
-        "flow-sensitive unit/RNG taint, exception-flow verification, and "
-        "effect/write-set contracts (mirror coherence, sweep races, "
-        "recovery read-surface).",
+        "flow-sensitive unit/RNG taint, exception-flow verification, "
+        "effect contracts (sweep races, recovery read-surface), and "
+        "columnar dtype/shape contracts.",
     )
     parser.add_argument(
         "paths", nargs="*", default=None,
@@ -89,22 +96,14 @@ def _parser() -> argparse.ArgumentParser:
         help="also report dead public symbols (RPR110, report-only)",
     )
     parser.add_argument(
-        "--effects", action="store_true",
-        help="run only the effect/write-set contracts (RPR201, RPR203, RPR205-RPR207)",
-    )
-    parser.add_argument(
         "--effects-report", metavar="FILE", type=Path, default=None,
-        help="write the inferred effect model (membership choke points "
-        "and writers, sweep reachability) as stable JSON",
-    )
-    parser.add_argument(
-        "--columnar", action="store_true",
-        help="run only the columnar dtype/shape contracts (RPR301-RPR305)",
+        help="write the inferred effect model (sweep entry points, "
+        "reachability and cached functions) as stable JSON",
     )
     parser.add_argument(
         "--columnar-report", metavar="FILE", type=Path, default=None,
         help="write the declared columnar contract surface (@columnar "
-        "declarations, hot modules, choke points) as stable JSON",
+        "declarations, hot modules) as stable JSON",
     )
     parser.add_argument(
         "--export-dot", metavar="FILE", type=Path, default=None,
@@ -141,18 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     paths = [Path(p) for p in (args.paths or [_DEFAULT_TARGET])]
     try:
         project = Project.load(paths)
-        if args.effects or args.columnar:
-            findings = []
-            active: frozenset[str] = frozenset()
-            if args.effects:
-                findings.extend(check_effects(project))
-                active |= EFFECTS_CODES
-            if args.columnar:
-                findings.extend(check_columnar(project))
-                active |= COLUMNAR_CODES
-            findings = apply_suppressions(project, findings, active)
-        else:
-            findings = analyze_project(project, dead_code=args.dead_code)
+        findings = analyze_project(project, dead_code=args.dead_code)
 
         exports = (
             (args.export_dot, graph_dot),

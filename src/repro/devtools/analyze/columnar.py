@@ -1,20 +1,18 @@
-"""Columnar contract analysis (RPR301-RPR305).
+"""Columnar contract analysis (RPR301, RPR302, RPR304, RPR305).
 
 The simulation's correctness-critical inner loops run as numpy
 columnar kernels, and none of the earlier analyses see array
-semantics: a silent int32 downcast of an LBA column, a write through
-a view aliasing the :class:`CacheSets` mirror,
-or a chained fancy-index assignment that mutates a temporary would all
-pass the layering/unit/effects suites clean.  This module runs an
+semantics: a silent int32 downcast of an LBA column or a chained
+fancy-index assignment that mutates a temporary would both pass the
+layering/unit/effects suites clean.  This module runs an
 interprocedural dtype/shape dataflow over the single-parse
 :class:`~repro.devtools.analyze.project.Project` model instead.
 
 The per-value lattice is a :class:`Col`: a canonical dtype name (or
 ``None`` for unknown), whether the value is an ndarray, whether it
 carries *index taint* (an LBA / page-address / epoch column, which
-must stay 64-bit integer end-to-end), whether it aliases the
-``CacheSets`` membership mirror, and whether a float value has passed
-through an explicit rounding step (the RPR302 safe-cast token).
+must stay 64-bit integer end-to-end), and whether a float value has
+passed through an explicit rounding step (the RPR302 safe-cast token).
 Branches merge by agreement, exactly like the RPR104 unit lattice —
 conservative on purpose, because the pass gates CI.
 
@@ -40,12 +38,6 @@ RPR302
     step (``np.floor_divide``/``np.rint``/...), and a unit-carrying
     value (RPR104's bytes/pages/ms/seconds lattice) cast below 64-bit
     width.
-RPR303
-    In-place mutation through an array derived from the membership
-    mirror (``_lba_table``) outside a ``@mutates_membership`` choke
-    point — slice/fancy assignment, ``+=``, ``out=``, ``np.put`` and
-    friends.  Composes with the RPR201 effects closure, which only
-    sees direct attribute writes.
 RPR304
     Boolean-mask misuse: ``and``/``or`` on mask arrays (truth-value
     error or short-circuit surprise at runtime), and chained
@@ -54,6 +46,9 @@ RPR305
     Scalar loop in a hot module: a python ``for`` over an ndarray or a
     per-element ``.item()`` in one of the designated hot modules,
     unless the function is on the explicit allowlist.
+
+RPR303 (in-place writes through views of the ``CacheSets`` mirror) is
+retired with the mirror; its code is not reused.
 
 Suppression uses the shared inline syntax ``# kdd-analyze:
 disable=RPRnnn`` (see :mod:`repro.devtools.analyze.suppress`), never a
@@ -75,11 +70,6 @@ from .unitflow import unit_of_name
 # -- contract configuration --------------------------------------------------
 
 COLUMNAR_DECORATOR = "repro.contracts:columnar"
-MUTATES_DECORATOR = "repro.contracts:mutates_membership"
-
-#: ndarray halves of the membership directory; any array *derived*
-#: from one of these carries mirror taint (RPR303).
-MIRROR_ATTRS = frozenset({"_lba_table"})
 
 #: Attributes holding the structured trace record array.
 RECORD_ATTRS = frozenset({"records", "_records"})
@@ -179,8 +169,7 @@ _ROUNDING_FUNCS = frozenset(
 )
 
 #: numpy namespace functions whose result propagates the first data
-#: argument's dtype and index taint (all of them copy, so mirror taint
-#: drops).
+#: argument's dtype and index taint.
 _PROPAGATE_FUNCS = frozenset(
     {
         "sort",
@@ -205,9 +194,6 @@ _INTP_FUNCS = frozenset(
     {"argsort", "searchsorted", "flatnonzero", "bincount", "argmin", "argmax"}
 )
 
-#: numpy namespace functions that mutate their first argument.
-_WRITE_FUNCS = frozenset({"put", "place", "copyto", "putmask", "fill_diagonal"})
-
 #: ndarray methods returning another view of the same buffer.
 _VIEW_METHODS = frozenset(
     {"reshape", "ravel", "view", "squeeze", "transpose", "swapaxes"}
@@ -229,7 +215,6 @@ _RNG_METHODS = {
 _RULES = {
     "RPR301": "index column leaves int64 (dtype-flow taint)",
     "RPR302": "unsafe cast (float truncation / unit-carrying narrow)",
-    "RPR303": "in-place write through a membership-mirror view",
     "RPR304": "boolean-mask misuse (and/or, chained fancy assignment)",
     "RPR305": "scalar loop over an ndarray in a hot module",
 }
@@ -254,7 +239,6 @@ class Col:
     dtype: str | None = None  # canonical dtype name, or None = unknown
     array: bool = False  # definitely an ndarray
     index: bool = False  # carries address/index taint
-    mirror: bool = False  # derived from the membership mirror
     rounded: bool = False  # float that passed an explicit rounding step
 
 
@@ -268,7 +252,6 @@ def _merge_col(a: Col, b: Col) -> Col:
         dtype=a.dtype if a.dtype == b.dtype else None,
         array=a.array and b.array,
         index=a.index or b.index,
-        mirror=a.mirror or b.mirror,
         rounded=a.rounded and b.rounded,
     )
 
@@ -391,14 +374,12 @@ class _FunctionCols:
         mod: ModuleInfo,
         func: FuncInfo,
         decl: Decl | None,
-        is_choke: bool,
         hot: bool,
     ) -> None:
         self.analysis = analysis
         self.mod = mod
         self.func = func
         self.decl = decl
-        self.is_choke = is_choke
         self.hot = hot
         self.env: dict[str, Col] = {}
 
@@ -426,9 +407,7 @@ class _FunctionCols:
         if isinstance(expr, ast.UnaryOp):
             if isinstance(expr.op, ast.Not):
                 return UNKNOWN
-            base = self.col_of(expr.operand)
-            # -a / ~a allocate a fresh buffer; mirror taint drops.
-            return replace(base, mirror=False)
+            return self.col_of(expr.operand)
         if isinstance(expr, ast.BoolOp):
             for value in expr.values:
                 col = self.col_of(value)
@@ -457,8 +436,6 @@ class _FunctionCols:
         return UNKNOWN
 
     def _attr_col(self, expr: ast.Attribute) -> Col:
-        if expr.attr in MIRROR_ATTRS:
-            return Col(dtype="int64", array=True, index=True, mirror=True)
         if expr.attr in RECORD_ATTRS:
             return Col(dtype="record", array=True)
         if expr.attr == "T":
@@ -575,12 +552,6 @@ class _FunctionCols:
         return None
 
     def _call_col(self, call: ast.Call) -> Col:
-        # out= writes into an existing buffer; through a mirror view
-        # that is membership mutation the effects closure cannot see.
-        out = self._kwarg(call, "out")
-        if out is not None:
-            self._check_mirror_write(call, self.col_of(out), "out= argument")
-
         np_func = self._np_name(call.func)
         if np_func is not None:
             return self._np_call_col(call, np_func)
@@ -612,9 +583,6 @@ class _FunctionCols:
         arg0 = call.args[0] if call.args else None
         arg0_col = self.col_of(arg0) if arg0 is not None else UNKNOWN
 
-        if name in _WRITE_FUNCS:
-            self._check_mirror_write(call, arg0_col, f"np.{name}()")
-            return UNKNOWN
         if name in ("zeros", "ones", "empty"):
             if dtype_kw is None and len(call.args) >= 2:
                 dtype_kw = self._dtype_of(call.args[1])
@@ -706,8 +674,8 @@ class _FunctionCols:
             return Col(dtype="int64", array=True)
         if name == "where" and len(call.args) == 3:
             return _merge_col(
-                replace(self.col_of(call.args[1]), array=True, mirror=False),
-                replace(self.col_of(call.args[2]), array=True, mirror=False),
+                replace(self.col_of(call.args[1]), array=True),
+                replace(self.col_of(call.args[2]), array=True),
             )
         if name in ("any", "all"):
             # Full reductions collapse to a scalar; only an axis= call
@@ -739,7 +707,7 @@ class _FunctionCols:
         if method in _VIEW_METHODS:
             return replace(recv, array=True)
         if method == "copy":
-            return replace(recv, mirror=False)
+            return recv
         if method == "tolist":
             return Col(index=recv.index)
         if method == "item":
@@ -766,9 +734,6 @@ class _FunctionCols:
                 dtype=recv.dtype, array=recv.array, index=recv.index,
                 rounded=True,
             )
-        if method in ("sort", "fill", "put", "partition"):
-            self._check_mirror_write(call, recv, f"in-place .{method}()")
-            return UNKNOWN
         if method in _RNG_METHODS:
             dtype = (
                 self._dtype_of(self._kwarg(call, "dtype"))
@@ -916,21 +881,6 @@ class _FunctionCols:
                 f"width or suppress with a reviewed bound",
             )
 
-    def _check_mirror_write(
-        self, node: ast.AST, target: Col, how: str
-    ) -> None:
-        if self.analysis.silent:
-            return
-        if target.mirror and not self.is_choke:
-            self.report(
-                node,
-                "RPR303",
-                f"membership-mirror write{self._where()}: {how} mutates an "
-                f"array derived from the CacheSets mirror outside a "
-                f"@mutates_membership choke point (RPR201 only sees direct "
-                f"attribute writes; views bypass the index update)",
-            )
-
     # -- statements ----------------------------------------------------------
 
     def run(self, body: list[ast.stmt]) -> None:
@@ -1038,18 +988,10 @@ class _FunctionCols:
         target = stmt.target
         if isinstance(target, ast.Name):
             base = self.env.get(target.id, UNKNOWN)
-            self._check_mirror_write(stmt, base, "augmented assignment")
             self.env[target.id] = _merge_col(base, value_col)
         elif isinstance(target, ast.Subscript):
-            if not self._is_direct_mirror_attr(target.value):
-                self._check_mirror_write(
-                    stmt, self.col_of(target.value), "augmented assignment"
-                )
+            self.col_of(target.value)
             self.col_of(target.slice)
-
-    def _is_direct_mirror_attr(self, expr: ast.expr) -> bool:
-        """``self._lba_table`` itself — RPR201's (effects) territory."""
-        return isinstance(expr, ast.Attribute) and expr.attr in MIRROR_ATTRS
 
     def _handle_assign(
         self, targets: list[ast.expr], value: ast.expr, stmt: ast.stmt
@@ -1139,10 +1081,7 @@ class _FunctionCols:
 
     def _assign_subscript(self, target: ast.Subscript, stmt: ast.stmt) -> None:
         base = target.value
-        if not self._is_direct_mirror_attr(base):
-            self._check_mirror_write(
-                stmt, self.col_of(base), "subscript assignment"
-            )
+        self.col_of(base)
         if isinstance(base, ast.Subscript) and not isinstance(
             base.slice, ast.Slice
         ):
@@ -1205,7 +1144,6 @@ class ColumnarAnalysis:
         self.project = project
         self.findings: list[Finding] = []
         self.decls: dict[str, Decl] = {}
-        self.chokes: set[str] = set()
         self._attr_cols: dict[str, dict[str, Col]] = {}
         #: True while pre-passes type expressions without reporting.
         self.silent = False
@@ -1228,8 +1166,6 @@ class ColumnarAnalysis:
             for dec in func.node.decorator_list:
                 target = dec.func if isinstance(dec, ast.Call) else dec
                 resolved = self.project.resolve_func_expr(mod, target)
-                if resolved == MUTATES_DECORATOR:
-                    self.chokes.add(func.id)
                 if resolved != COLUMNAR_DECORATOR:
                     continue
                 if not isinstance(dec, ast.Call):
@@ -1327,9 +1263,7 @@ class ColumnarAnalysis:
                 )
                 if func is None:
                     continue
-                walker = _FunctionCols(
-                    self, mod, func, None, is_choke=True, hot=False
-                )
+                walker = _FunctionCols(self, mod, func, None, hot=False)
                 for node in ast.walk(method):
                     if not isinstance(node, ast.Assign):
                         continue
@@ -1415,12 +1349,7 @@ class ColumnarAnalysis:
                 continue
             decl = self.decls.get(func.id)
             walker = _FunctionCols(
-                self,
-                mod,
-                func,
-                decl,
-                is_choke=func.id in self.chokes,
-                hot=mod.name in HOT_MODULES,
+                self, mod, func, decl, hot=mod.name in HOT_MODULES
             )
             self._seed_params(walker, func, decl)
             walker.run(list(func.node.body))
@@ -1428,7 +1357,8 @@ class ColumnarAnalysis:
 
 
 def check_columnar(project: Project) -> list[Finding]:
-    """RPR301-RPR305: numpy dtype/shape flow, mirror aliasing, hot loops."""
+    """RPR301/RPR302/RPR304/RPR305: numpy dtype/shape flow, mask misuse,
+    hot loops."""
     return ColumnarAnalysis(project).run()
 
 
@@ -1456,10 +1386,8 @@ def columnar_report(project: Project) -> str:
         "version": 1,
         "rules": dict(sorted(_RULES.items())),
         "declarations": declarations,
-        "choke_points": sorted(analysis.chokes),
         "hot_modules": sorted(HOT_MODULES),
         "hot_allowlist": sorted(HOT_ALLOWLIST),
         "index_tokens": sorted(INDEX_TOKENS),
-        "mirror_attrs": sorted(MIRROR_ATTRS),
     }
     return json.dumps(doc, indent=2, sort_keys=True)

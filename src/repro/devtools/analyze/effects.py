@@ -1,17 +1,8 @@
-"""Effect/write-set analysis (RPR201, RPR203, RPR205-RPR207).
+"""Effect analysis (RPR205-RPR207).
 
-Infers, per project function, the set of object attributes it may
-mutate — assignments, augmented assignments and ``del`` through
-``self``, through locals aliased to ``self`` attributes, and through
-resolved call boundaries, closed over the call graph — and enforces
-three contract families on top of the write-sets:
+Infers, per project function, the module-level state it may mutate and
+the functions it calls, and enforces two contract families on top:
 
-* **Mirror coherence** (RPR201/RPR203).  The membership directory
-  pair of :class:`repro.cache.sets.CacheSets` (``_index`` and its
-  columnar mirror ``_lba_table``) may only be written by a method
-  decorated :func:`repro.contracts.mutates_membership`, and the batch
-  readers (``classify`` and friends) must be write-free with respect
-  to membership state.
 * **Sweep race detection** (RPR205/RPR206).  Module-level mutable
   state (``global`` writes, mutation of module constants, class
   attributes) and caching decorators reachable from the sweep
@@ -24,15 +15,13 @@ three contract families on top of the write-sets:
   looks correct until a real power loss.
 
 Soundness note: like the exception-flow analysis, the resolver covers
-module functions, ``self.m()`` through the concrete receiver class,
-construction-tracked ``self.attr.m()``, plain local aliases
-(``x = self.attr``) and derived locals (``x = self.attr[i]``,
-``x = self.attr.get(...)``), and ``super().m()`` with a single project
-base.  Mutating calls on receivers it cannot resolve fall back to a
-method-name heuristic (:data:`MUTATING_METHODS`).  Objects passed as
-call arguments are assumed not to be mutated by the callee.  The sets
-are useful, not complete — the fixtures in the test suite pin exactly
-what each rule proves.
+module functions, ``self.m()`` through the defining class,
+construction-tracked ``self.attr.m()`` (also through a plain local
+alias ``x = self.attr``), locals constructed from a project class, and
+``super().m()`` with a single project base.  Mutating calls on module
+state fall back to a method-name heuristic (:data:`MUTATING_METHODS`).
+The analysis is useful, not complete — the fixtures in the test suite
+pin exactly what each rule proves.
 """
 
 from __future__ import annotations
@@ -45,17 +34,6 @@ from ..lint.findings import Finding
 from .project import FuncInfo, ModuleInfo, Project, finding_at
 
 # -- contract configuration --------------------------------------------------
-
-CONTRACTS_MODULE = "repro.contracts"
-MUTATES_DECORATOR = f"{CONTRACTS_MODULE}:mutates_membership"
-
-SETS_CLASS = "repro.cache.sets:CacheSets"
-#: The membership directory pair: the python-side index and its
-#: columnar int64 mirror.  Writing either outside a choke point would
-#: let the mirror silently diverge from the index.
-MEMBERSHIP_ATTRS = frozenset({"_index", "_lba_table"})
-#: CacheSets batch methods; must not write membership.
-BATCH_READERS = ("classify", "resident_in_range", "set_of_batch", "touch_many")
 
 #: Sweep process-pool worker entry points: everything these reach runs
 #: inside a forked/spawned worker and must not share module state.
@@ -77,9 +55,8 @@ HOOK_BASE = "repro.engine.hooks:EngineHook"
 #: input (documented in DESIGN §12).
 SWEEP_ALLOWLIST = frozenset({"repro.harness.sweep:_trace_for"})
 
-#: Method names assumed to mutate an *unresolved* receiver (builtin
-#: containers, external objects).  Resolved receivers use the callee's
-#: computed write-set instead.
+#: Method names assumed to mutate the module-level object they are
+#: called on (builtin containers, external objects).
 MUTATING_METHODS = frozenset({
     "add", "append", "clear", "discard", "drain", "extend", "insert",
     "move_to_end", "pop", "popitem", "push", "put", "record", "remove",
@@ -118,8 +95,6 @@ RECOVERY_SURFACE = {
     "repro.nvram.metabuffer:MetadataBuffer": frozenset({"_entries"}),
 }
 
-_INIT_METHODS = frozenset({"__init__", "__post_init__"})
-
 #: Chain marker for a subscript step (``x[...]``).
 _SUB = "[]"
 
@@ -145,7 +120,7 @@ def _shallow_walk(node: ast.AST) -> list[ast.AST]:
 def _chain(expr: ast.expr) -> tuple[ast.AST, list[str]]:
     """Decompose an Attribute/Subscript chain into (root, parts).
 
-    ``self._lba_table[i]`` -> (Name self, ["_lba_table", "[]"]).
+    ``self._entries[i]`` -> (Name self, ["_entries", "[]"]).
     """
     parts: list[str] = []
     node: ast.AST = expr
@@ -164,28 +139,12 @@ def _chain(expr: ast.expr) -> tuple[ast.AST, list[str]]:
 class FuncEffects:
     """Intraprocedural effect facts for one function."""
 
-    #: attr root -> first write site: any mutation reached through a
-    #: ``self`` attribute (direct, aliased, derived, or mutator call).
-    self_writes: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: attr root -> first *identity-level* write site: ``self.X = ``,
-    #: ``self.X[...] = ``, ``del self.X[...]``, or a mutator call
-    #: directly on ``self.X``/a plain alias with an unresolved class.
-    container_writes: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: (attr, member, line, col): ``self.A.B = `` / ``self.A.B[...] = ``
-    #: style raw writes one object deep (checked against CacheSets).
-    foreign_writes: list[tuple[str, str, int, int]] = field(default_factory=list)
-    #: same-receiver calls: (method name, via_super).
-    self_calls: list[tuple[str, bool]] = field(default_factory=list)
-    #: sub-object calls: (attr, receiver class id or "", method, line, col).
-    attr_calls: list[tuple[str, str, str, int, int]] = field(default_factory=list)
     #: resolved call targets (function ids) for reachability.
     callees: list[str] = field(default_factory=list)
     #: (description, line, col) module-state mutations (RPR205).
     global_mutations: list[tuple[str, int, int]] = field(default_factory=list)
     #: (decorator display name, line, col) caching decorators (RPR206).
     cache_decorators: list[tuple[str, int, int]] = field(default_factory=list)
-    #: carries @mutates_membership.
-    mutates_decorated: bool = False
 
 
 class _FuncVisitor:
@@ -201,12 +160,12 @@ class _FuncVisitor:
         self.eff = FuncEffects()
         self.nodes = _shallow_walk(func.node)
         self._collect_scopes()
-        self._collect_aliases()
+        self._collect_bindings()
         self._collect_decorators()
         for node in self.nodes:
             self._visit(node)
 
-    # -- scope and alias maps ------------------------------------------------
+    # -- scope and binding maps ----------------------------------------------
 
     def _collect_scopes(self) -> None:
         self.globals_decl: set[str] = set()
@@ -231,59 +190,41 @@ class _FuncVisitor:
                 self.locals.add(node.name)
         self.locals -= self.globals_decl
 
-    def _alias_of_value(self, value: ast.expr) -> tuple[str, bool] | None:
-        """(root attr, is_direct) when a value is rooted at ``self``."""
-        via_call = False
-        if isinstance(value, ast.Call):
-            value = value.func
-            via_call = True
-        node, parts = _chain(value)
-        if not isinstance(node, ast.Name):
-            return None
-        if node.id == "self" and self.class_id and parts:
-            if via_call and len(parts) == 1 and \
-                    self.project.find_method(self.class_id, parts[0]):
-                return None  # self.method(...): a call, not an attr root
-            return parts[0], not via_call and parts == [parts[0]]
-        if node.id in self.aliases:
-            root, direct = self.aliases[node.id]
-            return root, direct and not via_call and not parts
-        return None
-
-    def _collect_aliases(self) -> None:
-        """Locals rooted at a ``self`` attribute (plain or derived)."""
-        self.aliases: dict[str, tuple[str, bool]] = {}
+    def _collect_bindings(self) -> None:
+        """Locals whose class a call through them resolves against."""
+        #: locals bound to a ``self`` attribute (``x = self.attr``).
+        self.aliases: dict[str, str] = {}
         #: locals constructed from a project class (``v = Cls(); v.m()``).
         self.local_classes: dict[str, str] = {}
         for node in self.nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
                     isinstance(node.targets[0], ast.Name):
-                name = node.targets[0].id
-                if isinstance(node.value, ast.Call):
-                    cls = self.project.resolve_class_expr(
-                        self.mod, node.value.func)
+                target, value = node.targets[0].id, node.value
+                if isinstance(value, ast.Call):
+                    cls = self.project.resolve_class_expr(self.mod, value.func)
                     if cls is not None:
-                        self.local_classes.setdefault(name, cls.id)
-                alias = self._alias_of_value(node.value)
-                if alias is not None:
-                    self.aliases.setdefault(name, alias)
+                        self.local_classes.setdefault(target, cls.id)
             elif isinstance(node, ast.NamedExpr) and \
                     isinstance(node.target, ast.Name):
-                alias = self._alias_of_value(node.value)
-                if alias is not None:
-                    self.aliases.setdefault(node.target.id, alias)
-            elif isinstance(node, (ast.For, ast.AsyncFor)) and \
-                    isinstance(node.target, ast.Name):
-                alias = self._alias_of_value(node.iter)
-                if alias is not None:  # loop vars are always derived
-                    self.aliases.setdefault(node.target.id, (alias[0], False))
+                target, value = node.target.id, node.value
+            else:
+                continue
+            root = self._self_attr_of(value)
+            if root is not None:
+                self.aliases.setdefault(target, root)
+
+    def _self_attr_of(self, value: ast.expr) -> str | None:
+        """The attribute a value is, when it is ``self.attr`` or an alias."""
+        if isinstance(value, ast.Name):
+            return self.aliases.get(value.id)
+        if isinstance(value, ast.Attribute) and self.class_id and \
+                isinstance(value.value, ast.Name) and value.value.id == "self":
+            return value.attr
+        return None
 
     def _collect_decorators(self) -> None:
         for dec in self.func.node.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
-            if self.project.resolve_func_expr(self.mod, target) == \
-                    MUTATES_DECORATOR:
-                self.eff.mutates_decorated = True
             name = self._cache_decorator_name(target)
             if name is not None:
                 self.eff.cache_decorators.append(
@@ -364,26 +305,6 @@ class _FuncVisitor:
         if not isinstance(node, ast.Name):
             return
         name = node.id
-        if name == "self" and self.class_id and parts:
-            root = parts[0]
-            self.eff.self_writes.setdefault(root, (line, col))
-            if len(parts) == 1 or (len(parts) == 2 and parts[1] == _SUB):
-                self.eff.container_writes.setdefault(root, (line, col))
-            elif parts[1] != _SUB and (
-                    len(parts) == 2 or (len(parts) == 3 and parts[2] == _SUB)):
-                self.eff.foreign_writes.append((root, parts[1], line, col))
-            return
-        if name in self.aliases:
-            if not parts:
-                return  # rebinding the local itself mutates nothing
-            root, direct = self.aliases[name]
-            self.eff.self_writes.setdefault(root, (line, col))
-            if direct and len(parts) == 1 and parts[0] == _SUB:
-                self.eff.container_writes.setdefault(root, (line, col))
-            elif direct and parts[0] != _SUB and (
-                    len(parts) == 1 or (len(parts) == 2 and parts[1] == _SUB)):
-                self.eff.foreign_writes.append((root, parts[0], line, col))
-            return
         if not parts:
             if name in self.globals_decl:
                 self.eff.global_mutations.append(
@@ -400,56 +321,15 @@ class _FuncVisitor:
     def _handle_call(self, call: ast.Call) -> None:
         self.eff.callees.extend(self._static_callees(call))
         func = call.func
-        if not isinstance(func, ast.Attribute):
+        if not isinstance(func, ast.Attribute) or \
+                func.attr not in MUTATING_METHODS:
             return
-        method = func.attr
-        line, col = call.lineno, call.col_offset
         node, parts = _chain(func.value)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "super" and not parts and self.class_id:
-            self.eff.self_calls.append((method, True))
-            return
-        if not isinstance(node, ast.Name):
-            return
-        name = node.id
-        if name == "self" and self.class_id:
-            if not parts:
-                self.eff.self_calls.append((method, False))
-            elif len(parts) == 1:
-                attr_cls = self._attr_class_of(parts[0])
-                self.eff.attr_calls.append(
-                    (parts[0], attr_cls, method, line, col))
-                if not attr_cls and method in MUTATING_METHODS:
-                    # Unresolved receiver mutated in place: an
-                    # identity-level write on the attribute itself.
-                    self.eff.self_writes.setdefault(parts[0], (line, col))
-                    self.eff.container_writes.setdefault(
-                        parts[0], (line, col))
-            elif method in MUTATING_METHODS:
-                self.eff.self_writes.setdefault(parts[0], (line, col))
-                if parts[1] != _SUB and len(parts) == 2:
-                    self.eff.foreign_writes.append(
-                        (parts[0], parts[1], line, col))
-            return
-        if name in self.aliases:
-            root, direct = self.aliases[name]
-            if not parts and direct:
-                attr_cls = self._attr_class_of(root)
-                self.eff.attr_calls.append(
-                    (root, attr_cls, method, line, col))
-                if not attr_cls and method in MUTATING_METHODS:
-                    self.eff.self_writes.setdefault(root, (line, col))
-                    self.eff.container_writes.setdefault(root, (line, col))
-            elif method in MUTATING_METHODS:
-                self.eff.self_writes.setdefault(root, (line, col))
-                if direct and parts and parts[0] != _SUB and len(parts) == 1:
-                    self.eff.foreign_writes.append(
-                        (root, parts[0], line, col))
-            return
-        if name not in self.locals and method in MUTATING_METHODS:
-            desc = self._module_state_desc(name, parts or [_SUB])
+        if isinstance(node, ast.Name) and node.id not in self.locals:
+            desc = self._module_state_desc(node.id, parts or [_SUB])
             if desc is not None:
-                self.eff.global_mutations.append((desc, line, col))
+                self.eff.global_mutations.append(
+                    (desc, call.lineno, call.col_offset))
 
     def _static_callees(self, call: ast.Call) -> list[str]:
         """Resolved call targets, for the reachability graph."""
@@ -480,26 +360,30 @@ class _FuncVisitor:
             return []
         if not isinstance(node, ast.Name):
             return []
-        receiver = ""
+        receivers: list[str] = []
         if not parts:
             if node.id == "self" and self.class_id:
-                receiver = self.class_id
-            elif node.id in self.local_classes:
-                receiver = self.local_classes[node.id]
+                receivers.append(self.class_id)
+            if node.id in self.local_classes:
+                receivers.append(self.local_classes[node.id])
+            if node.id in self.aliases:
+                receivers.append(self._attr_class_of(self.aliases[node.id]))
         elif node.id == "self" and len(parts) == 1 and self.class_id:
-            receiver = self._attr_class_of(parts[0])
-        if receiver:
-            method = project.find_method(receiver, func.attr)
+            receivers.append(self._attr_class_of(parts[0]))
+        out = []
+        for receiver in receivers:
+            method = project.find_method(receiver, func.attr) \
+                if receiver else None
             if method is not None:
-                return [method.id]
-        return []
+                out.append(method.id)
+        return out
 
 
 # -- interprocedural analysis ------------------------------------------------
 
 
 class EffectAnalysis:
-    """Write-set closures and contract checks over one :class:`Project`."""
+    """Sweep reachability and contract checks over one :class:`Project`."""
 
     def __init__(self, project: Project) -> None:
         self.project = project
@@ -507,84 +391,6 @@ class EffectAnalysis:
             fid: _FuncVisitor(project, project.functions[fid]).eff
             for fid in sorted(project.functions)
         }
-        self._closure_memo: dict[tuple[str, str], frozenset[str]] = {}
-        self._in_progress: set[tuple[str, str]] = set()
-        self.sets_family: frozenset[str] = (
-            frozenset(project.subclasses_of(SETS_CLASS))
-            if SETS_CLASS in project.classes else frozenset()
-        )
-
-    # -- write-set closure ---------------------------------------------------
-
-    def write_closure(self, class_id: str, method: str) -> frozenset[str]:
-        """Attribute roots ``method`` may write on a ``class_id`` receiver,
-        closed over same-receiver calls (virtual dispatch resolved in the
-        concrete class) and construction-tracked sub-object calls."""
-        key = (class_id, method)
-        cached = self._closure_memo.get(key)
-        if cached is not None:
-            return cached
-        if key in self._in_progress:
-            return frozenset()  # cycle: least-fixpoint contribution is empty
-        self._in_progress.add(key)
-        try:
-            out: set[str] = set()
-            start = self.project.find_method(class_id, method)
-            if start is None:
-                result: frozenset[str] = frozenset()
-                self._closure_memo[key] = result
-                return result
-            seen: set[str] = set()
-            work = [start.id]
-            while work:
-                fid = work.pop()
-                if fid in seen:
-                    continue
-                seen.add(fid)
-                eff = self.effects.get(fid)
-                func = self.project.functions.get(fid)
-                if eff is None or func is None:
-                    continue
-                out.update(eff.self_writes)
-                for name, via_super in eff.self_calls:
-                    target = self._resolve_self_call(
-                        class_id, func, name, via_super)
-                    if target is not None:
-                        work.append(target.id)
-                for attr, attr_cls, meth, _line, _col in eff.attr_calls:
-                    if self._attr_call_writes(attr_cls, meth):
-                        out.add(attr)
-            result = frozenset(out)
-        finally:
-            self._in_progress.discard(key)
-        self._closure_memo[key] = result
-        return result
-
-    def _resolve_self_call(
-        self, class_id: str, func: FuncInfo, name: str, via_super: bool
-    ) -> FuncInfo | None:
-        if via_super:
-            defining = f"{func.module}:{func.class_name}"
-            if defining in self.project.classes:
-                bases = self.project.classes[defining].bases
-                if len(bases) == 1:
-                    return self.project.find_method(bases[0], name)
-            return None
-        return self.project.find_method(class_id, name)
-
-    def _attr_call_writes(self, attr_cls: str, method: str) -> bool:
-        """Whether calling ``method`` on a sub-object mutates it."""
-        if attr_cls and attr_cls in self.project.classes:
-            if self.project.find_method(attr_cls, method) is not None:
-                return bool(self.write_closure(attr_cls, method))
-        return method in MUTATING_METHODS
-
-    # -- choke-point facts ---------------------------------------------------
-
-    def choke_points(self) -> list[str]:
-        """Function ids declared ``@mutates_membership``, sorted."""
-        return sorted(fid for fid, eff in self.effects.items()
-                      if eff.mutates_decorated)
 
     # -- sweep reachability --------------------------------------------------
 
@@ -606,23 +412,8 @@ class EffectAnalysis:
 
     def sweep_reachable(self) -> dict[str, str]:
         """func id -> first (sorted) worker entry point that reaches it."""
-        graph: dict[str, list[str]] = {}
-        for fid, eff in self.effects.items():
-            func = self.project.functions[fid]
-            targets = set(eff.callees)
-            class_id = (
-                f"{func.module}:{func.class_name}" if func.class_name else "")
-            for name, via_super in eff.self_calls:
-                target = self._resolve_self_call(
-                    class_id, func, name, via_super) if class_id else None
-                if target is not None:
-                    targets.add(target.id)
-            for _attr, attr_cls, meth, _line, _col in eff.attr_calls:
-                if attr_cls:
-                    method = self.project.find_method(attr_cls, meth)
-                    if method is not None:
-                        targets.add(method.id)
-            graph[fid] = sorted(targets)
+        graph = {fid: sorted(set(eff.callees))
+                 for fid, eff in self.effects.items()}
         reached: dict[str, str] = {}
         for entry in self.sweep_entries():
             if entry in reached:
@@ -641,80 +432,12 @@ class EffectAnalysis:
 
     def check(self) -> list[Finding]:
         findings: list[Finding] = []
-        findings.extend(self._check_mirror_coherence())
         findings.extend(self._check_sweep_purity())
         findings.extend(self.check_recovery_surface())
         return sorted(findings, key=Finding.sort_key)
 
     def _mod_of(self, func: FuncInfo) -> ModuleInfo:
         return self.project.modules[func.module]
-
-    def _check_mirror_coherence(self) -> list[Finding]:
-        if not self.sets_family:
-            return []
-        findings: list[Finding] = []
-        # RPR201 (inside): membership state written by an undecorated
-        # CacheSets method.
-        for cid in sorted(self.sets_family):
-            info = self.project.classes[cid]
-            for name in sorted(info.methods):
-                if name in _INIT_METHODS:
-                    continue
-                fid = f"{info.module}:{info.name}.{name}"
-                eff = self.effects.get(fid)
-                func = self.project.functions.get(fid)
-                if eff is None or func is None or eff.mutates_decorated:
-                    continue
-                for attr in sorted(MEMBERSHIP_ATTRS & eff.container_writes.keys()):
-                    line, col = eff.container_writes[attr]
-                    findings.append(finding_at(
-                        self._mod_of(func), line, col, "RPR201",
-                        f"membership state '{attr}' is written by "
-                        f"{func.qualname}() outside a @mutates_membership "
-                        "choke point; route the mutation through the "
-                        "declared membership API",
-                    ))
-        # RPR201 (outside): raw writes through a CacheSets-typed attribute.
-        for fid in sorted(self.effects):
-            eff = self.effects[fid]
-            func = self.project.functions[fid]
-            if not func.class_name:
-                continue
-            class_id = f"{func.module}:{func.class_name}"
-            if class_id in self.sets_family:
-                continue  # inside writes are covered above
-            for attr, member, line, col in eff.foreign_writes:
-                if member not in MEMBERSHIP_ATTRS:
-                    continue
-                attr_cls = self._attr_class_in(class_id, attr)
-                if attr_cls in self.sets_family:
-                    findings.append(finding_at(
-                        self._mod_of(func), line, col, "RPR201",
-                        f"membership state '{member}' of "
-                        f"{attr_cls.rsplit(':', 1)[1]} is written by "
-                        f"{func.qualname}() from outside the class; only a "
-                        "@mutates_membership choke point may touch the "
-                        "directory pair",
-                    ))
-        # RPR203: batch readers must be write-free w.r.t. membership.
-        seen_readers: set[str] = set()
-        for cid in sorted(self.sets_family):
-            for reader in BATCH_READERS:
-                func = self.project.find_method(cid, reader)
-                if func is None or func.id in seen_readers:
-                    continue
-                seen_readers.add(func.id)
-                written = sorted(
-                    self.write_closure(cid, reader) & MEMBERSHIP_ATTRS)
-                if written:
-                    findings.append(finding_at(
-                        self._mod_of(func), func.node.lineno,
-                        func.node.col_offset, "RPR203",
-                        f"batch reader {func.qualname}() must be write-free "
-                        "w.r.t. membership state but may write "
-                        f"{', '.join(repr(w) for w in written)}",
-                    ))
-        return findings
 
     def _attr_class_in(self, class_id: str, attr: str) -> str:
         for cid in self.project.class_mro(class_id):
@@ -904,8 +627,8 @@ class EffectAnalysis:
 
 
 def check_effects(project: Project) -> list[Finding]:
-    """RPR201/RPR203/RPR205-RPR207: mirror coherence, sweep-parallelism
-    race detection, and the recovery read-surface."""
+    """RPR205-RPR207: sweep-parallelism race detection and the recovery
+    read-surface."""
     return EffectAnalysis(project).check()
 
 
@@ -913,9 +636,8 @@ def check_effects(project: Project) -> list[Finding]:
 
 
 def effects_report(project: Project) -> str:
-    """Stable JSON export of the effect model behind RPR201, RPR203,
-    RPR205 and RPR206: membership choke points and writers, and sweep
-    reachability."""
+    """Stable JSON export of the effect model behind RPR205 and RPR206:
+    sweep worker entry points, reachability and cached functions."""
     analysis = EffectAnalysis(project)
     reached = analysis.sweep_reachable()
     cached = [
@@ -927,23 +649,8 @@ def effects_report(project: Project) -> str:
         for fid in sorted(reached)
         for deco, _line, _col in analysis.effects[fid].cache_decorators
     ]
-    membership_writers = sorted(
-        fid for fid, eff in analysis.effects.items()
-        if analysis.project.functions[fid].class_name
-        and f"{analysis.project.functions[fid].module}:"
-            f"{analysis.project.functions[fid].class_name}"
-            in analysis.sets_family
-        and MEMBERSHIP_ATTRS & eff.container_writes.keys()
-    )
     doc = {
         "version": 1,
-        "membership": {
-            "class": SETS_CLASS,
-            "attrs": sorted(MEMBERSHIP_ATTRS),
-            "choke_points": analysis.choke_points(),
-            "writers": membership_writers,
-            "batch_readers": list(BATCH_READERS),
-        },
         "sweep": {
             "entry_points": analysis.sweep_entries(),
             "reachable_functions": len(reached),

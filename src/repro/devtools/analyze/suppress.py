@@ -11,12 +11,9 @@ finding's own line, ``all`` waives every code, and a suppression that
 suppressed nothing is itself reported as an RPR000 meta-finding — so
 columnar (and any other analyzer-family) exceptions live next to the
 code they excuse and rot is visible, instead of accumulating in a
-baseline file.
-
-Unused-suppression reporting is scoped to the analyses that actually
-ran: a family-filtered run (``--effects``, ``--columnar``) ignores
-suppressions for codes outside the active set rather than calling
-them unused.
+baseline file.  A suppression naming a code outside
+:data:`ANALYZER_CODES` — a typo, or a retired rule such as RPR201,
+RPR203 or RPR303 — is reported as unknown.
 """
 
 from __future__ import annotations
@@ -28,11 +25,11 @@ from .project import Project, finding_at
 #: The comment tag the analyzer reads.
 ANALYZE_TOOL = "kdd-analyze"
 
-#: Code families, for scoping unused-suppression reporting to the
-#: analyses a run actually executed.
+#: Code families, one per analysis module.  Retired codes (RPR201,
+#: RPR203, RPR303) stay out for good: a rule's code is never reused.
 FLOW_CODES = frozenset({f"RPR1{i:02d}" for i in range(1, 12)})
-EFFECTS_CODES = frozenset({"RPR201", "RPR203", "RPR205", "RPR206", "RPR207"})
-COLUMNAR_CODES = frozenset({f"RPR3{i:02d}" for i in range(1, 6)})
+EFFECTS_CODES = frozenset({"RPR205", "RPR206", "RPR207"})
+COLUMNAR_CODES = frozenset({"RPR301", "RPR302", "RPR304", "RPR305"})
 
 #: Every code an analyzer run can emit.
 ANALYZER_CODES = FLOW_CODES | EFFECTS_CODES | COLUMNAR_CODES
@@ -40,18 +37,8 @@ ANALYZER_CODES = FLOW_CODES | EFFECTS_CODES | COLUMNAR_CODES
 _ALL = "all"
 
 
-def apply_suppressions(
-    project: Project,
-    findings: list[Finding],
-    active_codes: frozenset[str] = ANALYZER_CODES,
-) -> list[Finding]:
-    """Drop inline-suppressed findings; report unused suppressions.
-
-    ``active_codes`` is the set of codes the run could have emitted;
-    suppressions for other analyzer codes are left alone (neither
-    applied nor reported unused), so a ``--columnar``-only run does
-    not flag a legitimate RPR104 suppression as stale.
-    """
+def apply_suppressions(project: Project, findings: list[Finding]) -> list[Finding]:
+    """Drop inline-suppressed findings; report unused suppressions."""
     by_relpath: dict[str, dict[int, list[str]]] = {}
     for mod in project.modules.values():
         sup = parse_suppressions(mod.source, tool=ANALYZE_TOOL)
@@ -82,8 +69,6 @@ def apply_suppressions(
                     continue
                 if code != _ALL and code not in ANALYZER_CODES:
                     message = f"suppression of unknown analyzer rule {code}"
-                elif code != _ALL and code not in active_codes:
-                    continue  # family not part of this run
                 else:
                     message = (
                         f"unused suppression of {code}: no {code} finding "

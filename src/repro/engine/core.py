@@ -120,7 +120,6 @@ class Event:
     time: float
     seq: int
     action: Callable[[float], None] = field(compare=False)
-    label: str = field(default="", compare=False)
 
 
 class EventLoop:
@@ -138,12 +137,11 @@ class EventLoop:
         self._seq = 0
         self.processed = 0
 
-    def schedule(self, time: float, action: Callable[[float], None],
-                 label: str = "") -> Event:
+    def schedule(self, time: float, action: Callable[[float], None]) -> Event:
         """Schedule ``action(time)`` at ``time``; ties pop in FIFO order."""
         if time < 0:
             raise ConfigError(f"cannot schedule an event at negative time {time}")
-        event = Event(time=time, seq=self._seq, action=action, label=label)
+        event = Event(time=time, seq=self._seq, action=action)
         self._seq += 1
         heapq.heappush(self._heap, event)
         return event

@@ -231,7 +231,7 @@ class SimEngine:
         def fire(at: float) -> None:
             results.append(self._handle_request(lba, npages, is_read, at))
 
-        self.loop.schedule(arrival, fire, label=f"request lba={lba}")
+        self.loop.schedule(arrival, fire)
         self.loop.run()
         return results[0]
 
@@ -252,7 +252,7 @@ class SimEngine:
             results.append(self.run_disk_phases(ops, when,
                                                 Priority.BACKGROUND, "inject"))
 
-        self.loop.schedule(at, fire, label="inject")
+        self.loop.schedule(at, fire)
         self.loop.run()
         return results[0]
 

@@ -1,10 +1,10 @@
-"""Columnar contract analysis (RPR301-RPR305).
+"""Columnar contract analysis (RPR301, RPR302, RPR304, RPR305).
 
 Each rule is proven on a fixture tree where it fires on a seeded
 violation and stays silent on the conforming twin; the real tree is
 then held to all of them at once (columnar-clean, with mutation tests
-showing the dtype contract bites on the production ``CacheSets``
-mirror and the hot-loop lint bites on ``Trace.__iter__``).
+showing the dtype contract bites on the serve composer's page column
+and the hot-loop lint bites on ``Trace.__iter__``).
 """
 
 import json
@@ -20,8 +20,8 @@ from repro.devtools.analyze.columnar import (
 
 SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: Mini twin of repro.contracts: the analyzer resolves the decorators
-#: by their project ids, so the fixture tree needs real definitions.
+#: Mini twin of repro.contracts: the analyzer resolves the decorator
+#: by its project id, so the fixture tree needs a real definition.
 MINI_CONTRACTS = """\
     def columnar(dtypes=None, shapes=None):
         def mark(func):
@@ -31,11 +31,6 @@ MINI_CONTRACTS = """\
             }
             return func
         return mark
-
-
-    def mutates_membership(func):
-        func.__mutates_membership__ = True
-        return func
 """
 
 
@@ -229,107 +224,6 @@ class TestUnsafeCasts:
 
                 def pack(total_bytes: np.ndarray):
                     return total_bytes.astype(np.int64)
-            """,
-        })
-        assert check_columnar(project) == []
-
-
-class TestMirrorAliasing:
-    """RPR303: writes through arrays derived from the CacheSets mirror."""
-
-    def test_subscript_write_through_derived_row_fires(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                import numpy as np
-
-                class CacheSets:
-                    def __init__(self):
-                        self._lba_table = np.full((4, 4), -1, dtype=np.int64)
-
-                    def shortcut(self, slot, resident):
-                        row = self._lba_table[0]
-                        row[slot] = resident
-            """,
-        })
-        findings = check_columnar(project)
-        assert codes(findings) == ["RPR303"]
-        assert "membership-mirror write" in findings[0].message
-        assert "subscript assignment" in findings[0].message
-
-    def test_augmented_write_through_view_fires(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                import numpy as np
-
-                class CacheSets:
-                    def __init__(self):
-                        self._lba_table = np.full((4, 4), -1, dtype=np.int64)
-
-                    def shift(self, delta):
-                        flat = self._lba_table.ravel()
-                        flat += delta
-            """,
-        })
-        findings = check_columnar(project)
-        assert codes(findings) == ["RPR303"]
-        assert "augmented assignment" in findings[0].message
-
-    def test_np_put_on_mirror_fires(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                import numpy as np
-
-                class CacheSets:
-                    def __init__(self):
-                        self._lba_table = np.full((4, 4), -1, dtype=np.int64)
-
-                    def install(self, idx, resident):
-                        np.put(self._lba_table, idx, resident)
-            """,
-        })
-        findings = check_columnar(project)
-        assert codes(findings) == ["RPR303"]
-        assert "np.put()" in findings[0].message
-
-    def test_choke_point_writes_are_admitted(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                import numpy as np
-
-                from ..contracts import mutates_membership
-
-                class CacheSets:
-                    def __init__(self):
-                        self._lba_table = np.full((4, 4), -1, dtype=np.int64)
-
-                    @mutates_membership
-                    def _membership_update(self, slot, resident):
-                        row = self._lba_table[0]
-                        row[slot] = resident
-            """,
-        })
-        assert check_columnar(project) == []
-
-    def test_copies_of_the_mirror_are_writable(self, analyze_tree):
-        # .copy() (and np.sort etc.) drop mirror taint: a snapshot is
-        # not the directory.
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                import numpy as np
-
-                class CacheSets:
-                    def __init__(self):
-                        self._lba_table = np.full((4, 4), -1, dtype=np.int64)
-
-                    def snapshot(self, slot, resident):
-                        snap = self._lba_table.copy()
-                        snap[0, slot] = resident
-                        return snap
             """,
         })
         assert check_columnar(project) == []
@@ -615,25 +509,31 @@ class TestRealTree:
             [f.render() for f in check_columnar(backward)]
         assert columnar_report(forward) == columnar_report(backward)
 
-    def test_narrowing_the_production_mirror_fails_the_contract(
+    def test_narrowing_a_production_index_cast_fails_the_contract(
         self, analyze_tree
     ):
-        # Acceptance proof: narrow the CacheSets mirror to int32 in the
-        # otherwise-identical production source and RPR301 must fire at
-        # the construction site.
-        sets_src = (SRC_REPRO / "cache" / "sets.py").read_text()
+        # Acceptance proof: narrow the composer's page-address cast to
+        # uint32 in the otherwise-identical production source and RPR301
+        # must fire at the cast.
+        composer_src = (SRC_REPRO / "serve" / "composer.py").read_text()
         contracts_src = (SRC_REPRO / "contracts.py").read_text()
-        broken = sets_src.replace("dtype=np.int64", "dtype=np.int32")
-        assert broken != sets_src
+        cast = "pages = (pages + self._bases[idx]).astype(np.uint64)"
+        broken = composer_src.replace(cast, cast.replace("64", "32"))
+        assert broken != composer_src
+        clean = analyze_tree({
+            "contracts.py": contracts_src,
+            "serve/composer.py": composer_src,
+        })
+        assert check_columnar(clean) == []
         project = analyze_tree({
             "contracts.py": contracts_src,
-            "cache/sets.py": broken,
+            "serve/composer.py": broken,
         })
         findings = [f for f in check_columnar(project)
                     if f.code == "RPR301"]
-        assert findings, "narrowed mirror must trip RPR301"
-        assert any("_lba_table" in f.message and "int32" in f.message
-                   for f in findings)
+        assert findings, "narrowed page column must trip RPR301"
+        assert any("index column cast to uint32" in f.message
+                   and "_tenant_epoch()" in f.message for f in findings)
 
     def test_emptying_the_allowlist_fires_on_trace_iter(self, monkeypatch):
         # Acceptance proof on the production tree: Trace.__iter__ is a
@@ -663,11 +563,12 @@ class TestRealTree:
         doc = json.loads(columnar_report(Project.load([SRC_REPRO])))
         assert doc["version"] == 1
         assert sorted(doc["rules"]) == \
-            ["RPR301", "RPR302", "RPR303", "RPR304", "RPR305"]
+            ["RPR301", "RPR302", "RPR304", "RPR305"]
         ids = [d["function"] for d in doc["declarations"]]
         assert ids == sorted(ids)
         assert len(ids) >= 10
-        assert "repro.cache.sets:CacheSets._membership_update" \
-            in doc["choke_points"]
+        # Nothing of the retired mirror contract (RPR303) is reported.
+        assert "choke_points" not in doc
+        assert "mirror_attrs" not in doc
         assert "repro.traces.trace" in doc["hot_modules"]
         assert "repro.traces.trace:Trace.__iter__" in doc["hot_allowlist"]

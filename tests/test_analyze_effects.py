@@ -1,10 +1,10 @@
-"""Effect/write-set analysis (RPR201, RPR203, RPR205-RPR207).
+"""Effect analysis (RPR205-RPR207).
 
 Each contract family is proven on a fixture tree where the rule fires
 on a seeded violation and stays silent on the conforming twin; the
 real tree is then held to all of them at once (effects-clean, with a
-mutation test showing the choke-point contract actually bites on the
-production ``CacheSets``).
+mutation test showing the recovery-surface contract actually bites on
+the production persistence stack).
 """
 
 from pathlib import Path
@@ -18,133 +18,9 @@ from repro.devtools.analyze.effects import (
 
 SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: Mini twin of repro.contracts: the analyzer resolves the decorator
-#: by its project id, so the fixture tree needs a real definition.
-MINI_CONTRACTS = """\
-    def mutates_membership(func):
-        func.__mutates_membership__ = True
-        return func
-"""
-
 
 def codes(findings):
     return sorted(f.code for f in findings)
-
-
-class TestMirrorCoherence:
-    def test_undecorated_membership_write_is_rpr201(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                class CacheSets:
-                    def __init__(self):
-                        self._index = {}
-
-                    def alloc(self, lba):
-                        self._index[lba] = lba
-            """,
-        })
-        findings = check_effects(project)
-        assert codes(findings) == ["RPR201"]
-        assert "'_index'" in findings[0].message
-        assert "alloc()" in findings[0].message
-
-    def test_mutator_call_on_membership_attr_is_rpr201(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                class CacheSets:
-                    def __init__(self):
-                        self._index = {}
-
-                    def remove(self, lba):
-                        self._index.pop(lba, None)
-            """,
-        })
-        assert codes(check_effects(project)) == ["RPR201"]
-
-    def test_foreign_write_through_sets_attr_is_rpr201(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                import numpy as np
-
-                class CacheSets:
-                    def __init__(self):
-                        self._lba_table = np.full((1, 1), -1)
-            """,
-            "cache/common.py": """\
-                from .sets import CacheSets
-
-                class Policy:
-                    def __init__(self):
-                        self.sets = CacheSets()
-
-                    def shortcut(self, lba):
-                        self.sets._lba_table[0, 0] = lba
-            """,
-        })
-        findings = check_effects(project)
-        assert codes(findings) == ["RPR201"]
-        assert "outside the class" in findings[0].message
-        assert "shortcut()" in findings[0].message
-
-    def test_batch_reader_that_writes_membership_is_rpr203(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                from ..contracts import mutates_membership
-
-                class CacheSets:
-                    def __init__(self):
-                        self._index = {}
-
-                    @mutates_membership
-                    def _membership_update(self, lba):
-                        self._index[lba] = lba
-
-                    def classify(self, lbas):
-                        for lba in lbas:
-                            self._membership_update(lba)
-                        return lbas
-            """,
-        })
-        findings = check_effects(project)
-        assert codes(findings) == ["RPR203"]
-        assert "classify()" in findings[0].message
-
-    def test_conforming_sets_class_is_clean(self, analyze_tree):
-        project = analyze_tree({
-            "contracts.py": MINI_CONTRACTS,
-            "cache/sets.py": """\
-                from ..contracts import mutates_membership
-
-                class CacheSets:
-                    def __init__(self):
-                        self._index = {}
-                        self._order = []
-
-                    @mutates_membership
-                    def _membership_update(self, lba, add):
-                        if add:
-                            self._index[lba] = lba
-                        else:
-                            del self._index[lba]
-
-                    def alloc(self, lba):
-                        self._order.append(lba)
-                        self._membership_update(lba, True)
-
-                    def classify(self, lbas):
-                        return [lba in self._index for lba in lbas]
-
-                    def touch_many(self, lbas):
-                        order = self._order
-                        for lba in lbas:
-                            order.append(lba)
-            """,
-        })
-        assert check_effects(project) == []
 
 
 class TestSweepRaces:
@@ -279,40 +155,27 @@ class TestRealTree:
 
     def test_effect_model_matches_the_production_contract(self):
         analysis = EffectAnalysis(Project.load([SRC_REPRO]))
-        # Exactly one choke point, and it is the CacheSets API.
-        assert analysis.choke_points() == \
-            ["repro.cache.sets:CacheSets._membership_update"]
         # The sweep worker surface includes both cell runners and hooks.
         entries = analysis.sweep_entries()
         assert "repro.harness.sweep:_execute_cell" in entries
         assert any(e.startswith("repro.engine.hooks:") for e in entries)
-
-    def test_removing_the_choke_point_marker_fails_the_contract(
-        self, analyze_tree
-    ):
-        # Acceptance proof: undecorate the production choke point and
-        # RPR201 must fire at its membership writes.
-        sets_src = (SRC_REPRO / "cache" / "sets.py").read_text()
-        contracts_src = (SRC_REPRO / "contracts.py").read_text()
-        broken = sets_src.replace("    @mutates_membership\n", "")
-        assert broken != sets_src
-        project = analyze_tree({
-            "contracts.py": contracts_src,
-            "cache/sets.py": broken,
-        })
-        findings = [f for f in check_effects(project) if f.code == "RPR201"]
-        assert findings
-        assert all("_membership_update()" in f.message for f in findings)
+        # What the workers reach includes the simulation code a cell
+        # drives, not only the harness entry points.
+        reached = analysis.sweep_reachable()
+        assert "repro.serve.driver:ServeDriver.run" in reached
+        assert "repro.cache.sets:CacheSets.__init__" in reached
 
     def test_effects_report_shape(self, tmp_path):
         import json
 
         doc = json.loads(effects_report(Project.load([SRC_REPRO])))
         assert doc["version"] == 1
-        assert sorted(doc["membership"]["attrs"]) == \
-            ["_index", "_lba_table"]
-        assert "epoch" not in doc["membership"]
-        assert "fast_paths" not in doc
+        # The report describes sweep reachability only: the retired
+        # membership contract (RPR201/RPR203) leaves no key behind.
+        assert sorted(doc) == ["sweep", "version"]
+        assert doc["sweep"]["entry_points"] == \
+            EffectAnalysis(Project.load([SRC_REPRO])).sweep_entries()
+        assert doc["sweep"]["reachable_functions"] > 0
         cached = doc["sweep"]["cached_functions"]
         assert cached and all(entry["allowlisted"] for entry in cached)
 

@@ -207,47 +207,46 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["findings"] == []
 
-    def test_effects_flag_runs_only_rpr2xx(self, tmp_path, capsys):
-        # The fixture violates both RPR109 (unused import) and RPR201;
-        # --effects must report only the effect-contract family.
-        pkg = write_fixture_tree(tmp_path, {
-            "contracts.py": "def mutates_membership(func):\n    return func\n",
-            "cache/sets.py": (
-                "import json\n\n"
-                "class CacheSets:\n"
-                "    def __init__(self):\n"
-                "        self._index = {}\n"
-                "        self.mutations = 0\n\n"
-                "    def alloc(self, lba):\n"
-                "        self._index[lba] = lba\n"
-            ),
-        })
-        assert analyze_main([str(pkg), "--format", "json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert sorted(doc["counts"]) == ["RPR109", "RPR201"]
-        assert analyze_main([str(pkg), "--effects", "--format", "json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert sorted(doc["counts"]) == ["RPR201"]
-
     def test_effects_report_export(self, tmp_path, capsys):
         report = tmp_path / "effects-report.json"
-        assert analyze_main([str(SRC_REPRO), "--effects",
+        assert analyze_main([str(SRC_REPRO),
                              "--effects-report", str(report)]) == 0
         assert "clean" in capsys.readouterr().out
         doc = json.loads(report.read_text(encoding="utf-8"))
-        assert doc["membership"]["choke_points"] == \
-            ["repro.cache.sets:CacheSets._membership_update"]
+        assert "repro.harness.sweep:_execute_cell" in \
+            doc["sweep"]["entry_points"]
+        assert "membership" not in doc
 
-    def test_kdd_repro_analyze_effects_smoke(self):
+    def test_kdd_repro_analyze_effects_smoke(self, tmp_path):
+        # The CI lint invocation: one pass runs every family (effects
+        # included) and writes all four artifacts.
+        reports = {
+            "--export-dot": tmp_path / "import-graph.dot",
+            "--export-json": tmp_path / "import-graph.json",
+            "--effects-report": tmp_path / "effects-report.json",
+            "--columnar-report": tmp_path / "columnar-report.json",
+        }
+        flags = [str(arg) for pair in reports.items() for arg in pair]
         out = subprocess.run(
             [sys.executable, "-m", "repro.harness.cli", "analyze",
-             str(SRC_REPRO), "--effects", "--format", "json"],
+             str(SRC_REPRO), "--format", "json", *flags],
             capture_output=True, text=True,
             cwd=str(SRC_REPRO.parent.parent),
             env={**os.environ, "PYTHONPATH": "src"},
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["findings"] == []
+        assert all(path.stat().st_size > 0 for path in reports.values())
+
+    def test_family_filter_flags_are_gone(self, capsys):
+        # Every run executes all families.  The retired filters must be
+        # rejected, not parsed as abbreviations of the report flags.
+        for flag in ("--effects", "--columnar"):
+            with pytest.raises(SystemExit) as exc:
+                analyze_main([str(SRC_REPRO), flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in \
+                capsys.readouterr().err
 
 
 DETERMINISM_FILES = {

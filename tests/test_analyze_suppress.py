@@ -5,8 +5,8 @@ One suppression grammar serves both checkers: kdd-lint reads
 reads ``# kdd-analyze: disable=...`` through the same parser
 (:func:`repro.devtools.lint.engine.parse_suppressions`).  These tests
 pin the grammar sharing, the unused-suppression meta-findings, the
-family scoping of filtered runs, and the CLI exit discipline for the
-``--columnar`` / report-export flags.
+unknown-rule report for retired codes, and the CLI exit discipline for
+the report-export flags.
 """
 
 import json
@@ -43,9 +43,9 @@ class TestSharedGrammar:
             {2: ["RPR302"]}
 
     def test_comma_lists_and_all_parse_identically(self):
-        source = "x = 1  # kdd-analyze: disable=RPR301, RPR303\ny = 2  # kdd-analyze: disable=all\n"
+        source = "x = 1  # kdd-analyze: disable=RPR301, RPR304\ny = 2  # kdd-analyze: disable=all\n"
         sup = parse_suppressions(source, tool="kdd-analyze")
-        assert sup == {1: ["RPR301", "RPR303"], 2: ["all"]}
+        assert sup == {1: ["RPR301", "RPR304"], 2: ["all"]}
 
     def test_marker_inside_string_literal_is_not_a_suppression(self):
         source = 's = "# kdd-analyze: disable=RPR301"\n'
@@ -108,25 +108,29 @@ class TestAnalyzerSuppressions:
         assert codes(findings) == ["RPR000"]
         assert "unknown analyzer rule RPR999" in findings[0].message
 
-    def test_family_scoping_of_unused_reporting(self, analyze_tree):
-        # A RPR104 (unit-flow) suppression is out of scope for a
-        # --columnar-only run: neither applied nor called unused.
+    def test_retired_codes_are_unknown_rules(self, analyze_tree):
+        # RPR201, RPR203 and RPR303 left with the CacheSets mirror; a
+        # leftover suppression of one is a typo-class finding.
         project = analyze_tree({
             "core/flow.py": """\
-                x = 1  # kdd-analyze: disable=RPR104
+                x = 1  # kdd-analyze: disable=RPR303
+                y = 2  # kdd-analyze: disable=RPR201, RPR203
             """,
         })
-        assert apply_suppressions(project, [], COLUMNAR_CODES) == []
-        full = apply_suppressions(project, [], ANALYZER_CODES)
-        assert codes(full) == ["RPR000"]
-        assert "unused suppression of RPR104" in full[0].message
+        findings = apply_suppressions(project, [])
+        assert codes(findings) == ["RPR000"] * 3
+        assert [f.message for f in findings] == [
+            f"suppression of unknown analyzer rule {code}"
+            for code in ("RPR303", "RPR201", "RPR203")
+        ]
 
     def test_code_families_partition_the_rule_space(self):
         assert FLOW_CODES & EFFECTS_CODES == frozenset()
         assert FLOW_CODES & COLUMNAR_CODES == frozenset()
         assert EFFECTS_CODES & COLUMNAR_CODES == frozenset()
+        assert EFFECTS_CODES == frozenset({"RPR205", "RPR206", "RPR207"})
         assert COLUMNAR_CODES == frozenset(
-            {"RPR301", "RPR302", "RPR303", "RPR304", "RPR305"}
+            {"RPR301", "RPR302", "RPR304", "RPR305"}
         )
         assert ANALYZER_CODES == FLOW_CODES | EFFECTS_CODES | COLUMNAR_CODES
 
@@ -143,7 +147,7 @@ class TestAnalyzerSuppressions:
 class TestColumnarCli:
     def _violating_tree(self, tmp_path):
         # One columnar violation plus one flow violation (an unused
-        # import), to tell a family-filtered run from a full one.
+        # import): a run reports both families.
         return write_fixture_tree(tmp_path, {
             "core/flow.py": """\
                 import json
@@ -153,15 +157,6 @@ class TestColumnarCli:
                     return lbas.astype(np.int32)
             """,
         })
-
-    def test_columnar_flag_runs_only_the_columnar_family(
-        self, tmp_path, capsys
-    ):
-        root = self._violating_tree(tmp_path)
-        rc = analyze_main(["--columnar", "--format", "json", str(root)])
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert set(doc["counts"]) == {"RPR301"}
 
     def test_default_run_includes_both_families(self, tmp_path, capsys):
         root = self._violating_tree(tmp_path)
@@ -179,7 +174,7 @@ class TestColumnarCli:
         doc = json.loads(target.read_text(encoding="utf-8"))
         assert doc["version"] == 1
         assert sorted(doc["rules"]) == \
-            ["RPR301", "RPR302", "RPR303", "RPR304", "RPR305"]
+            ["RPR301", "RPR302", "RPR304", "RPR305"]
         assert doc["declarations"]
 
     def test_unwritable_columnar_report_exits_2(self, tmp_path, capsys):

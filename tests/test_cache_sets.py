@@ -1,5 +1,7 @@
 """Tests for the set-associative cache space."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,13 +165,11 @@ class TestBorrowed:
         cs.check_invariants()
 
 
-class TestMembershipChokePoint:
-    """The @mutates_membership contract, dynamically."""
+class TestMembership:
+    """One residency map: lookups, batch classification and invariants
+    all answer from the index."""
 
-    def test_choke_point_carries_the_marker(self):
-        assert CacheSets._membership_update.__mutates_membership__ is True
-
-    def test_alloc_and_remove_update_index_and_mirror(self):
+    def test_alloc_and_remove_update_index_and_classify(self):
         cs = CacheSets(cache_pages=8, ways=8)
         probe = np.array([1], dtype=np.int64)
         line = cs.alloc(1, PageState.CLEAN)
@@ -192,6 +192,23 @@ class TestMembershipChokePoint:
         assert bool(cs.classify(np.array([1], dtype=np.int64))[0])
         cs.check_invariants()
 
+    def test_line_missing_from_its_set_fails_invariants(self):
+        cs = CacheSets(cache_pages=8, ways=8)
+        line = cs.alloc(1, PageState.CLEAN)
+        cs.alloc(2, PageState.CLEAN)
+        cset = cs._sets[line.set_idx]
+        # What a remove that forgot the index would leave behind.
+        del cset.entries[1]
+        cset.free_slots.append(line.slot)
+        with pytest.raises(CacheError, match="index/set entry mismatch"):
+            cs.check_invariants()
+        # An equal but distinct line in the set is no better: the index
+        # must hold the set's own line object.
+        cset.free_slots.remove(line.slot)
+        cset.entries[1] = dataclasses.replace(line)
+        with pytest.raises(CacheError, match="is not its set's line"):
+            cs.check_invariants()
+
 
 @settings(max_examples=50, deadline=None)
 @given(
@@ -200,11 +217,11 @@ class TestMembershipChokePoint:
         max_size=120,
     )
 )
-def test_property_mirror_never_stale(ops):
+def test_property_classify_matches_membership(ops):
     """Interleaved scalar writes and batch classification always agree.
 
-    For any sequence of alloc/remove/touch/adopt operations the columnar
-    mirror classifies exactly the ground-truth membership at every step.
+    For any sequence of alloc/remove/touch/adopt operations ``classify``
+    reports exactly the ground-truth membership at every step.
     """
     cs = CacheSets(cache_pages=32, ways=8)
     probe = np.arange(0, 41, dtype=np.int64)

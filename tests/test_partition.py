@@ -2,8 +2,9 @@
 
 Partition quotas split one cache across tenant directories; dynamic
 mode moves quota through the public ``alloc`` surface only, so the
-mirror-coherence contracts and cache invariants must hold across every
-resize, and the endurance cost of migration shows up in ``ssd_writes``.
+cache invariants (each residency-index entry is its set's line) must
+hold across every resize, and the endurance cost of migration shows up
+in ``ssd_writes``.
 """
 
 import pytest
