@@ -50,10 +50,10 @@ RPR305
 RPR303 (in-place writes through views of the ``CacheSets`` mirror) is
 retired with the mirror; its code is not reused.
 
-Suppression uses the shared inline syntax ``# kdd-analyze:
-disable=RPRnnn`` (see :mod:`repro.devtools.analyze.suppress`), never a
-baseline entry: a columnar exception is a reviewed property of a line
-of code, not a grandfathered debt.
+Suppression uses the analyzer's inline syntax ``# kdd-analyze:
+disable=RPRnnn`` (see :mod:`repro.devtools.analyze.suppress`): a
+columnar exception is a reviewed property of a line of code, not a
+grandfathered debt.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 
-from ..lint.findings import Finding
-from .project import FuncInfo, ModuleInfo, Project, finding_at
+from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
 from .unitflow import unit_of_name
 
 # -- contract configuration --------------------------------------------------

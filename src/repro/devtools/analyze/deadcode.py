@@ -12,10 +12,11 @@ module.  Package ``__init__`` modules without an ``__all__`` are
 skipped entirely — there, imports *are* the public surface and intent
 cannot be distinguished from accident.
 
-RPR110 (dead public symbol) is **opt-in** (``--dead-code``) and
-report-only: a top-level public symbol no project module references
-may still be consumed by tests, benchmarks, or downstream users, so
-deletion needs a human check of those trees first.
+RPR110 (dead public symbol) gates CI as well.  A top-level public
+symbol no project module references may still be consumed by tests,
+benchmarks, or downstream users, so check those trees before deleting
+it; otherwise underscore-rename it or export it through ``__all__``.
+Both run as one analysis over one index build.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from __future__ import annotations
 import ast
 import re
 
-from ..lint.findings import Finding
-from .project import ModuleInfo, Project, finding_at
+from .project import Finding, ModuleInfo, Project, finding_at
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -137,7 +137,7 @@ class _ReferenceIndex:
                     self.referenced.add(site)
 
         # Registration pattern: a decorated top-level def is consumed by
-        # its decorator (e.g. kdd-lint's @register rules) even when the
+        # its decorator (e.g. a registry decorator) even when the
         # name itself is never loaded again.
         self.decorated: set[tuple[str, str]] = set()
         for mod in self.project.modules.values():
@@ -154,9 +154,16 @@ class _ReferenceIndex:
             self.string_words |= _string_words(mod)
 
 
-def check_unused_imports(project: Project) -> list[Finding]:
-    """RPR109: imported names never used, re-exported, or pulled onward."""
+def check_dead_code(project: Project) -> list[Finding]:
+    """RPR109 and RPR110 over one shared reference index."""
     index = _ReferenceIndex(project)
+    findings = [*_unused_imports(project, index),
+                *_dead_public(project, index)]
+    return sorted(findings, key=Finding.sort_key)
+
+
+def _unused_imports(project: Project, index: _ReferenceIndex) -> list[Finding]:
+    """RPR109: imported names never used, re-exported, or pulled onward."""
     findings: list[Finding] = []
     for mod in project.modules.values():
         if mod.is_package and mod.exports is None:
@@ -175,16 +182,15 @@ def check_unused_imports(project: Project) -> list[Finding]:
                 f"'{name}' (from {binding.module}) is imported but never "
                 "used, exported, or re-imported by another module",
             ))
-    return sorted(findings, key=Finding.sort_key)
+    return findings
 
 
-def check_dead_public(project: Project) -> list[Finding]:
+def _dead_public(project: Project, index: _ReferenceIndex) -> list[Finding]:
     """RPR110: public top-level symbols nothing in the project references.
 
-    Report-only — external consumers (tests, benchmarks) are invisible
-    here; verify before deleting.
+    External consumers (tests, benchmarks) are invisible here; check
+    them before deleting.
     """
-    index = _ReferenceIndex(project)
     findings: list[Finding] = []
     for mod in project.modules.values():
         if mod.name == "repro.errors":
@@ -221,4 +227,4 @@ def check_dead_public(project: Project) -> list[Finding]:
                 "module; underscore-rename it or delete it (check tests "
                 "and benchmarks first)",
             ))
-    return sorted(findings, key=Finding.sort_key)
+    return findings

@@ -30,8 +30,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 
-from ..lint.findings import Finding
-from .project import FuncInfo, ModuleInfo, Project, finding_at
+from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
 
 # -- contract configuration --------------------------------------------------
 

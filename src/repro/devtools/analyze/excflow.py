@@ -35,8 +35,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..lint.findings import Finding
-from .project import FuncInfo, ModuleInfo, Project, finding_at
+from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
 
 ERRORS_MODULE = "repro.errors"
 ROOT_ERROR = f"{ERRORS_MODULE}:ReproError"

@@ -127,7 +127,7 @@ def architecture_md(project: Project,
         "|---|---|---|",
     ]
     roles = {
-        "application": "CLI, sweep harness, devtools (lint + analyze)",
+        "application": "CLI, sweep harness, devtools (static analysis)",
         "simulation": "event engine, timed systems, fault injection",
         "devices": "disk/flash/NVRAM models, RAID, caches, KDD core",
         "data": "trace parsing, delta codec, summary statistics",

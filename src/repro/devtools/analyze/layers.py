@@ -30,8 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..lint.findings import Finding
-from .project import EDGE_TOP, EDGE_TYPING, ImportEdge, Project, finding_at
+from .project import (
+    EDGE_TOP,
+    EDGE_TYPING,
+    Finding,
+    ImportEdge,
+    Project,
+    finding_at,
+)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Project model: modules, import graph, and cross-module symbol table.
 
-Everything downstream (layering, unit taint, RNG provenance, exception
-flow, dead-code) consumes one :class:`Project` built from a single
-parse of the tree.  Construction is deterministic: files are loaded in
-sorted order and every exposed collection iterates in sorted order, so
-analysis output is invariant under file-discovery order (a property
-pinned by a hypothesis test).
+Everything downstream (the per-module rules, layering, unit taint, RNG
+provenance, exception flow, dead code, effects, columnar contracts)
+consumes one :class:`Project` built from a single parse of the tree and
+reports :class:`Finding` records.  Construction is deterministic: files
+are loaded in sorted order and every exposed collection iterates in
+sorted order, so analysis output is invariant under file-discovery
+order (a property pinned by a hypothesis test).
 
 Module naming
 -------------
@@ -20,11 +21,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from ...errors import ConfigError
-from ..lint.engine import iter_python_files, repro_relpath
-from ..lint.findings import Finding
+
+#: Code reserved for the analyzer's own meta-diagnostics (unused or
+#: unknown suppressions).  It can be suppressed like any other code.
+META_CODE = "RPR000"
 
 #: Import-edge kinds.  ``top`` executes at module import time (the only
 #: kind that can create a real import cycle); ``deferred`` executes
@@ -33,6 +36,76 @@ from ..lint.findings import Finding
 EDGE_TOP = "top"
 EDGE_DEFERRED = "deferred"
 EDGE_TYPING = "typing"
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One diagnostic at a specific source location.
+
+    ``path`` is the path as given on the command line (for display);
+    ``relpath`` is the module path relative to the ``repro`` package
+    root (for rule scoping and the JSON output, so both are the same
+    whatever prefix the tree is checked out at).
+    """
+
+    path: str
+    relpath: str
+    line: int
+    col: int
+    code: str
+    message: str
+
+    def sort_key(self) -> tuple[str, int, int, str, str]:
+        return (self.relpath, self.line, self.col, self.code, self.message)
+
+    def render(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+
+    def to_json(self) -> dict[str, object]:
+        return {
+            "code": self.code,
+            "col": self.col,
+            "line": self.line,
+            "message": self.message,
+            "path": self.relpath,
+        }
+
+
+def repro_relpath(path: Path) -> str:
+    """Path relative to the ``repro`` package root, as a posix string.
+
+    ``src/repro/sim/system.py`` -> ``sim/system.py``.  Files outside a
+    ``repro`` directory fall back to their basename, which leaves them
+    unscoped (path-scoped rules treat them as top-level modules).
+    """
+    parts = path.resolve().parts
+    for i in range(len(parts) - 1, -1, -1):
+        if parts[i] == "repro":
+            rel = parts[i + 1 :]
+            if rel:
+                return str(PurePosixPath(*rel))
+    return path.name
+
+
+def iter_python_files(paths: list[Path]) -> list[Path]:
+    """Expand files/directories into a sorted, de-duplicated file list."""
+    seen: set[Path] = set()
+    out: list[Path] = []
+    for path in paths:
+        if path.is_dir():
+            candidates = sorted(p for p in path.rglob("*.py"))
+        elif path.suffix == ".py":
+            candidates = [path]
+        elif not path.exists():
+            raise ConfigError(f"no such file or directory: {path}")
+        else:
+            candidates = []
+        for cand in candidates:
+            resolved = cand.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
+                out.append(cand)
+    return sorted(out, key=lambda p: str(p))
 
 
 @dataclass(frozen=True)
@@ -144,22 +217,8 @@ class ModuleInfo:
 def finding_at(
     mod: ModuleInfo, line: int, col: int, code: str, message: str
 ) -> Finding:
-    """Build a Finding anchored at a source line of ``mod``.
-
-    The source line rides along so baseline fingerprints stay valid
-    when unrelated edits shift the file.
-    """
-    lines = mod.source.splitlines()
-    source = lines[line - 1] if 1 <= line <= len(lines) else ""
-    return Finding(
-        path=mod.path,
-        relpath=mod.relpath,
-        line=line,
-        col=col,
-        code=code,
-        message=message,
-        source=source,
-    )
+    """Build a Finding anchored at a source line of ``mod``."""
+    return Finding(mod.path, mod.relpath, line, col, code, message)
 
 
 def _module_name(relpath: str) -> str:

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import ast
 
-from ..lint.findings import Finding
-from .project import FuncInfo, ModuleInfo, Project, finding_at
+from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
 
 #: numpy.random constructor names that yield a stream object.
 RNG_CTORS = frozenset({

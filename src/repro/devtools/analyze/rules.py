@@ -1,32 +1,31 @@
-"""Rule registry and the built-in RPR rules.
+"""Per-module determinism and taxonomy rules (RPR001–006, RPR008, RPR009).
 
-Each rule is an :class:`ast.NodeVisitor` subclass registered under a
-stable ``RPRxxx`` code.  Rules receive one parsed module at a time via
-:meth:`Rule.run` and report ``(line, col, message)`` tuples; scoping,
-suppression, and baselines are the engine's job.
-
-The rules encode the invariants behind the reproduction's
-byte-for-byte determinism guarantee (see DESIGN.md):
+Each rule is an :class:`ast.NodeVisitor` run over one module's
+already-parsed tree from the :class:`Project`, scoped by the module's
+``repro``-relative path (:meth:`Rule.applies_to`).  The rules encode
+the invariants behind the reproduction's byte-for-byte determinism
+guarantee (DESIGN.md §8):
 
 ==========  ===========================================================
 RPR001      unseeded or global randomness in library code
 RPR002      wall-clock reads inside simulation modules
 RPR003      builtin exceptions raised instead of the repro.errors taxonomy
 RPR004      iteration over sets without ``sorted()`` (hash-order hazard)
-RPR005      float ``==`` / ``!=`` comparisons in stats/ and sim/
+RPR005      float ``==`` / ``!=`` comparisons in stats/, sim/ and engine/
 RPR006      mutable default arguments
-RPR007      arithmetic mixing ``*_bytes`` and ``*_pages`` quantities
 RPR008      naked ``except Exception`` swallowing the error taxonomy
 RPR009      simulated-clock arithmetic outside ``repro/engine/``
 ==========  ===========================================================
+
+RPR007 (lexical bytes/pages mixing) is retired: RPR104 sees every
+expression it saw.  Its code is not reused.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 
-from ...errors import ConfigError
+from .project import Finding, ModuleInfo, Project, finding_at
 
 #: Module directories (relative to the ``repro`` package root) that
 #: hold *simulation* code, where wall-clock time is banned outright.
@@ -43,44 +42,27 @@ ENGINE_DIRS = ("engine",)
 
 
 class Rule(ast.NodeVisitor):
-    """Base class: one rule instance is created per linted file."""
+    """Base class: one rule instance is created per checked module."""
 
     code: str = ""
-    name: str = ""
-    summary: str = ""
 
-    def __init__(self, relpath: str) -> None:
-        self.relpath = relpath
-        self.findings: list[tuple[int, int, str]] = []
+    def __init__(self, mod: ModuleInfo) -> None:
+        self.mod = mod
+        self.findings: list[Finding] = []
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:
         """Whether this rule runs on the module at ``relpath``."""
         return True
 
-    def run(self, tree: ast.Module) -> list[tuple[int, int, str]]:
-        self.visit(tree)
+    def run(self) -> list[Finding]:
+        self.visit(self.mod.tree)
         return self.findings
 
     def report(self, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            (getattr(node, "lineno", 1), getattr(node, "col_offset", 0), message)
-        )
-
-
-REGISTRY: dict[str, type[Rule]] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
-    if cls.code in REGISTRY:
-        raise ConfigError(f"duplicate rule code {cls.code}")
-    REGISTRY[cls.code] = cls
-    return cls
-
-
-def all_rules() -> list[type[Rule]]:
-    """Registered rules in code order (the engine's execution order)."""
-    return [REGISTRY[code] for code in sorted(REGISTRY)]
+        self.findings.append(finding_at(
+            self.mod, getattr(node, "lineno", 1),
+            getattr(node, "col_offset", 0), self.code, message))
 
 
 def _in_dirs(relpath: str, dirs: tuple[str, ...]) -> bool:
@@ -90,8 +72,8 @@ def _in_dirs(relpath: str, dirs: tuple[str, ...]) -> bool:
 class _ImportTracker(Rule):
     """Rule helper that tracks module aliases and from-imports."""
 
-    def __init__(self, relpath: str) -> None:
-        super().__init__(relpath)
+    def __init__(self, mod: ModuleInfo) -> None:
+        super().__init__(mod)
         # alias -> dotted module name, e.g. {"np": "numpy", "time": "time"}
         self.modules: dict[str, str] = {}
         # local name -> "module.attr", e.g. {"perf_counter": "time.perf_counter"}
@@ -140,16 +122,14 @@ _NP_SEEDABLE = frozenset(
 )
 
 
-@register
 class UnseededRandomness(_ImportTracker):
+    """Global or unseeded randomness (random.*, legacy np.random.*
+    globals, default_rng() without a seed) breaks cross-run and
+    cross-worker reproducibility; thread an explicit seed or
+    np.random.Generator instead.
+    """
+
     code = "RPR001"
-    name = "unseeded-randomness"
-    summary = (
-        "Global or unseeded randomness (random.*, legacy np.random.* "
-        "globals, default_rng() without a seed) breaks cross-run and "
-        "cross-worker reproducibility; thread an explicit seed or "
-        "np.random.Generator instead."
-    )
 
     def visit_Call(self, node: ast.Call) -> None:
         target = self.resolve_call(node)
@@ -198,16 +178,14 @@ _WALL_CLOCK = frozenset(
 )
 
 
-@register
 class WallClock(_ImportTracker):
+    """Simulation modules must be pure functions of their inputs:
+    reading the wall clock (time.time, perf_counter, datetime.now)
+    makes results run-dependent.  Simulated time comes from the
+    trace; only the harness may time real execution.
+    """
+
     code = "RPR002"
-    name = "wall-clock"
-    summary = (
-        "Simulation modules must be pure functions of their inputs: "
-        "reading the wall clock (time.time, perf_counter, datetime.now) "
-        "makes results run-dependent.  Simulated time comes from the "
-        "trace; only the harness may time real execution."
-    )
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:
@@ -236,15 +214,13 @@ _FORBIDDEN_RAISES = frozenset(
 )
 
 
-@register
 class BuiltinRaise(Rule):
+    """Library code raises from the repro.errors taxonomy so callers can
+    catch library failures without masking programming errors; bare
+    ValueError/RuntimeError/... escape that contract.
+    """
+
     code = "RPR003"
-    name = "builtin-raise"
-    summary = (
-        "Library code raises from the repro.errors taxonomy so callers "
-        "can catch library failures without masking programming errors; "
-        "bare ValueError/RuntimeError/... escape that contract."
-    )
 
     def visit_Raise(self, node: ast.Raise) -> None:
         exc = node.exc
@@ -282,18 +258,16 @@ def _is_set_expr(node: ast.expr, set_vars: dict[str, bool]) -> bool:
     return False
 
 
-@register
 class SetIteration(Rule):
-    code = "RPR004"
-    name = "set-iteration"
-    summary = (
-        "Iterating a set feeds hash order into simulation state, which "
-        "varies across PYTHONHASHSEED values and sweep workers; wrap "
-        "the iterable in sorted() to pin a total order."
-    )
+    """Iterating a set feeds hash order into simulation state, which
+    varies across PYTHONHASHSEED values and sweep workers; wrap the
+    iterable in sorted() to pin a total order.
+    """
 
-    def __init__(self, relpath: str) -> None:
-        super().__init__(relpath)
+    code = "RPR004"
+
+    def __init__(self, mod: ModuleInfo) -> None:
+        super().__init__(mod)
         self._scopes: list[dict[str, bool]] = [{}]
 
     # -- scope tracking -------------------------------------------------
@@ -378,15 +352,13 @@ def _is_floatish(node: ast.expr) -> bool:
     return False
 
 
-@register
 class FloatEquality(Rule):
+    """Exact == / != against float values is brittle under
+    re-association (parallel reduction order); compare with
+    math.isclose or a tolerance.
+    """
+
     code = "RPR005"
-    name = "float-equality"
-    summary = (
-        "Exact == / != against float values is brittle under "
-        "re-association (parallel reduction order); compare with "
-        "math.isclose or a tolerance."
-    )
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:
@@ -413,15 +385,13 @@ _MUTABLE_CTORS = frozenset(
 )
 
 
-@register
 class MutableDefault(Rule):
+    """Mutable default arguments are shared across calls, leaking state
+    between simulation runs; default to None (or use
+    dataclasses.field(default_factory=...)).
+    """
+
     code = "RPR006"
-    name = "mutable-default"
-    summary = (
-        "Mutable default arguments are shared across calls, leaking "
-        "state between simulation runs; default to None (or use "
-        "dataclasses.field(default_factory=...))."
-    )
 
     def _check_args(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         for default in [*node.args.defaults, *node.args.kw_defaults]:
@@ -448,67 +418,6 @@ class MutableDefault(Rule):
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_args(node)
-        self.generic_visit(node)
-
-
-_BYTES_TOKENS = frozenset({"bytes", "nbytes"})
-_PAGES_TOKENS = frozenset({"pages", "npages"})
-_TOKEN_SPLIT = re.compile(r"[_\W]+")
-
-
-def _unit_of(node: ast.expr) -> str | None:
-    """'bytes' / 'pages' classification of an operand by naming convention.
-
-    Rate-valued names (``ops_per_page``, ``bytes_per_ms``) carry a
-    *ratio*, not either unit, so they classify as unit-less — comparing
-    two rates or scaling by one is legitimate arithmetic.
-    """
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    else:
-        return None
-    tokens = set(_TOKEN_SPLIT.split(name.lower()))
-    if "per" in tokens:  # rates are dimensionless for unit mixing
-        return None
-    byteish = bool(tokens & _BYTES_TOKENS)
-    pageish = bool(tokens & _PAGES_TOKENS)
-    if byteish == pageish:  # untyped, or pathologically both
-        return None
-    return "bytes" if byteish else "pages"
-
-
-@register
-class UnitMixing(Rule):
-    code = "RPR007"
-    name = "unit-mixing"
-    summary = (
-        "Adding, subtracting, or comparing a *_bytes quantity against a "
-        "*_pages quantity is a unit error; convert through repro.units "
-        "(pages_for_bytes, DEFAULT_PAGE_SIZE) first.  Multiplication "
-        "and division are exempt (they perform the conversion)."
-    )
-
-    def _check_pair(self, node: ast.AST, left: ast.expr, right: ast.expr) -> None:
-        lu, ru = _unit_of(left), _unit_of(right)
-        if lu is not None and ru is not None and lu != ru:
-            self.report(
-                node,
-                f"mixes a {lu}-valued name with a {ru}-valued name; convert "
-                "via repro.units before combining",
-            )
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub, ast.Mod)):
-            self._check_pair(node, node.left, node.right)
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                self._check_pair(node, left, right)
         self.generic_visit(node)
 
 
@@ -551,16 +460,14 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-@register
 class BroadExcept(Rule):
+    """`except Exception` (or bare except) in library code swallows
+    programming errors together with taxonomy failures, hiding
+    determinism bugs behind fallback paths; catch a repro.errors
+    class, a specific builtin, or re-raise.
+    """
+
     code = "RPR008"
-    name = "broad-except"
-    summary = (
-        "`except Exception` (or bare except) in library code swallows "
-        "programming errors together with taxonomy failures, hiding "
-        "determinism bugs behind fallback paths; catch a repro.errors "
-        "class, a specific builtin, or re-raise."
-    )
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if _catches_broadly(node) and not _reraises(node):
@@ -583,17 +490,15 @@ def _mentions_clock_state(node: ast.expr) -> str | None:
     return None
 
 
-@register
 class ClockArithmetic(Rule):
+    """Simulated time advances only inside repro.engine: mutating a
+    device's busy_until clock or computing start times with
+    max(earliest, ...) elsewhere re-creates the ad-hoc scheduling the
+    engine replaced and silently forks the timing model.  Serve
+    operations through an engine resource instead.
+    """
+
     code = "RPR009"
-    name = "clock-arithmetic"
-    summary = (
-        "Simulated time advances only inside repro.engine: mutating a "
-        "device's busy_until clock or computing start times with "
-        "max(earliest, ...) elsewhere re-creates the ad-hoc scheduling "
-        "the engine replaced and silently forks the timing model.  Serve "
-        "operations through an engine resource instead."
-    )
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:
@@ -637,3 +542,20 @@ class ClockArithmetic(Rule):
                     )
                     break
         self.generic_visit(node)
+
+
+#: Every per-module rule, in code order.
+RULES: tuple[type[Rule], ...] = (
+    UnseededRandomness, WallClock, BuiltinRaise, SetIteration,
+    FloatEquality, MutableDefault, BroadExcept, ClockArithmetic,
+)
+
+
+def check_rules(project: Project) -> list[Finding]:
+    """RPR001–006, RPR008, RPR009 over every module of ``project``."""
+    findings: list[Finding] = []
+    for mod in project.modules.values():
+        for rule in RULES:
+            if rule.applies_to(mod.relpath):
+                findings.extend(rule(mod).run())
+    return sorted(findings, key=Finding.sort_key)

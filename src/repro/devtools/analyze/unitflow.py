@@ -1,19 +1,23 @@
 """Flow-sensitive unit taint (RPR104).
 
-The lexical rule (kdd-lint RPR007) only sees unit mixing when *both*
-operands are helpfully named at the point of use.  This analysis runs
-an intraprocedural forward dataflow instead: a unit (``bytes``,
-``pages``, ``ms``, ``seconds``) attaches to a value at a naming site or
-a known-converter call and then propagates through assignments,
+An intraprocedural forward dataflow: a unit (``bytes``, ``pages``,
+``ms``, ``seconds``) attaches to a value at a naming site or a
+known-converter call and then propagates through assignments,
 augmented assignments, returns, and resolved project-call boundaries —
 so a ``bytes`` value laundered through a blandly named local is still
 caught, and a rate like ``ops_per_page`` is correctly unit-less.
+Every expression is checked wherever it appears: ``+``/``-``/``%`` and
+the six ordering and equality comparisons, inside call arguments,
+literals, comprehensions, lambdas, subscripts and f-strings, in ``for``
+iterables, ``with`` items, defaults, decorators and class bodies.  That
+covers every shape the retired lexical rule RPR007 saw.
 
 The lattice per variable is tiny: ``None`` (unknown / dimensionless)
 or one unit string.  Branches merge by agreement — a variable keeps a
 unit over an ``if``/``else`` only when both arms agree; loops process
-their body once against a copy and merge the same way.  This is
-deliberately conservative: the analysis prefers silence to a false
+their body once against a copy and merge the same way.  A name whose
+spelling carries a unit keeps that unit regardless of the merge.  This
+is deliberately conservative: the analysis prefers silence to a false
 positive, because it gates CI.
 """
 
@@ -22,8 +26,7 @@ from __future__ import annotations
 import ast
 import re
 
-from ..lint.findings import Finding
-from .project import FuncInfo, ModuleInfo, Project, finding_at
+from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
 
 _TOKEN_SPLIT = re.compile(r"[_\W]+")
 _TOKENS = {
@@ -48,6 +51,17 @@ _CONVERT_HINT = {
                                    "DEFAULT_PAGE_SIZE",
     frozenset({"ms", "seconds"}): "repro.units.MILLISECOND",
 }
+
+#: Comparisons whose operands must share a unit (``in``/``is`` test
+#: membership and identity, not magnitude).
+_ORDERING = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+#: Unresolved builtins whose result carries their arguments' unit.
+_UNIT_PRESERVING = frozenset({"min", "max", "abs", "round", "sum"})
+
+
+def _hint(a: str, b: str) -> str:
+    return _CONVERT_HINT.get(frozenset({a, b}), "a repro.units conversion")
 
 
 def unit_of_name(name: str) -> str | None:
@@ -76,51 +90,67 @@ class _FunctionUnits:
     # -- expression units ----------------------------------------------------
 
     def unit_of(self, expr: ast.expr) -> str | None:
+        """Unit of ``expr``, checking every subexpression on the way."""
         if isinstance(expr, ast.Name):
-            if expr.id in self.env:
-                return self.env[expr.id]
-            return unit_of_name(expr.id)
-        if isinstance(expr, ast.Attribute):
-            return unit_of_name(expr.attr)
+            # The spelling wins over the merged flow environment, so a
+            # unit-named binding made on one branch keeps its unit.
+            return unit_of_name(expr.id) or self.env.get(expr.id)
         if isinstance(expr, ast.BinOp):
             return self._binop_unit(expr)
+        if isinstance(expr, ast.Compare):
+            units = [self.unit_of(expr.left),
+                     *map(self.unit_of, expr.comparators)]
+            for op, left, right in zip(expr.ops, units, units[1:]):
+                if isinstance(op, _ORDERING):
+                    self._check_conflict(expr, left, right)
+            return None
         if isinstance(expr, ast.UnaryOp):
             return self.unit_of(expr.operand)
         if isinstance(expr, ast.Call):
             return self._call_unit(expr)
         if isinstance(expr, ast.IfExp):
+            self.unit_of(expr.test)
             a, b = self.unit_of(expr.body), self.unit_of(expr.orelse)
             return a if a == b else None
-        if isinstance(expr, (ast.Constant, ast.List, ast.Tuple, ast.Dict,
-                             ast.Set, ast.ListComp, ast.SetComp,
-                             ast.DictComp, ast.GeneratorExp)):
-            return None
+        self._visit_children(expr)
+        if isinstance(expr, ast.Attribute):
+            return unit_of_name(expr.attr)
         return None
+
+    def _visit_children(self, node: ast.AST) -> None:
+        """Check the expressions nested in ``node``: literal elements,
+        comprehension clauses, lambda bodies and defaults, subscripts,
+        f-string fields."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self.unit_of(child)
+            else:
+                self._visit_children(child)
 
     def _binop_unit(self, expr: ast.BinOp) -> str | None:
         left, right = self.unit_of(expr.left), self.unit_of(expr.right)
         if isinstance(expr.op, (ast.Add, ast.Sub, ast.Mod)):
             self._check_conflict(expr, left, right)
             return left if left is not None else right
-        if isinstance(expr.op, (ast.Mult, ast.Div, ast.FloorDiv, ast.Pow)):
-            # multiplication/division performs conversions; the result's
-            # dimension is not either operand's, so drop the taint.
-            return None
+        # multiplication/division (and every other operator) performs a
+        # conversion; the result's dimension is not either operand's,
+        # so drop the taint.
         return None
 
     def _call_unit(self, expr: ast.Call) -> str | None:
+        self.unit_of(expr.func)
+        args = [self.unit_of(arg) for arg in expr.args]
+        keywords = [(kw, self.unit_of(kw.value)) for kw in expr.keywords]
         callee = self.analysis.project.resolve_func_expr(self.mod, expr.func)
         if callee is None:
-            # min/max/abs/round preserve their arguments' unit.
             if isinstance(expr.func, ast.Name) and \
-                    expr.func.id in ("min", "max", "abs", "round", "sum"):
-                units = {self.unit_of(arg) for arg in expr.args}
-                units.discard(None)
+                    expr.func.id in _UNIT_PRESERVING:
+                units = set(args) - {None}
                 return units.pop() if len(units) == 1 else None
             return None
         if callee in KNOWN_RETURNS:
             return KNOWN_RETURNS[callee]
-        self._check_call_args(expr, callee)
+        self._check_call_args(expr, callee, args, keywords)
         return None
 
     # -- conflict reporting --------------------------------------------------
@@ -132,15 +162,17 @@ class _FunctionUnits:
                         right: str | None) -> None:
         if left is None or right is None or left == right:
             return
-        hint = _CONVERT_HINT.get(frozenset({left, right}),
-                                 "a repro.units conversion")
         self.analysis.report(
             self.mod, node,
             f"unit conflict{self._where()}: combines a {left}-valued "
-            f"expression with a {right}-valued one; convert via {hint} first",
+            f"expression with a {right}-valued one; convert via "
+            f"{_hint(left, right)} first",
         )
 
-    def _check_call_args(self, call: ast.Call, callee: str) -> None:
+    def _check_call_args(
+        self, call: ast.Call, callee: str, args: list[str | None],
+        keywords: list[tuple[ast.keyword, str | None]],
+    ) -> None:
         func = self.analysis.project.functions.get(callee)
         if func is None:
             cls = self.analysis.project.classes.get(callee)
@@ -152,31 +184,17 @@ class _FunctionUnits:
         params = [a.arg for a in func.node.args.args]
         if func.class_name and params and params[0] == "self":
             params = params[1:]
-        for param, arg in zip(params, call.args):
+        passed = [*zip(params, call.args, args),
+                  *((kw.arg, kw.value, got) for kw, got in keywords
+                    if kw.arg is not None)]
+        for param, arg, got in passed:
             want = unit_of_name(param)
-            got = self.unit_of(arg)
             if want is not None and got is not None and want != got:
-                hint = _CONVERT_HINT.get(frozenset({want, got}),
-                                         "a repro.units conversion")
                 self.analysis.report(
                     self.mod, arg,
                     f"unit conflict{self._where()}: passes a {got}-valued "
                     f"argument to parameter '{param}' ({want}) of "
-                    f"{func.qualname}(); convert via {hint} first",
-                )
-        for kw in call.keywords:
-            if kw.arg is None:
-                continue
-            want = unit_of_name(kw.arg)
-            got = self.unit_of(kw.value)
-            if want is not None and got is not None and want != got:
-                hint = _CONVERT_HINT.get(frozenset({want, got}),
-                                         "a repro.units conversion")
-                self.analysis.report(
-                    self.mod, kw.value,
-                    f"unit conflict{self._where()}: passes a {got}-valued "
-                    f"argument to parameter '{kw.arg}' ({want}) of "
-                    f"{func.qualname}(); convert via {hint} first",
+                    f"{func.qualname}(); convert via {_hint(want, got)} first",
                 )
 
     # -- statements ----------------------------------------------------------
@@ -209,22 +227,20 @@ class _FunctionUnits:
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             self._assign(stmt.target, self.unit_of(stmt.value), stmt)
         elif isinstance(stmt, ast.AugAssign):
+            target, value = self.unit_of(stmt.target), self.unit_of(stmt.value)
             if isinstance(stmt.op, (ast.Add, ast.Sub, ast.Mod)):
-                self._check_conflict(
-                    stmt, self.unit_of(stmt.target), self.unit_of(stmt.value))
+                self._check_conflict(stmt, target, value)
             elif isinstance(stmt.target, ast.Name):
                 self.env[stmt.target.id] = None
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
             got = self.unit_of(stmt.value)
             want = self._return_unit
             if want is not None and got is not None and want != got:
-                hint = _CONVERT_HINT.get(frozenset({want, got}),
-                                         "a repro.units conversion")
                 self.analysis.report(
                     self.mod, stmt,
                     f"unit conflict{self._where()}: returns a {got}-valued "
                     f"expression from a {want}-valued function; convert via "
-                    f"{hint} first",
+                    f"{_hint(want, got)} first",
                 )
         elif isinstance(stmt, ast.If):
             self.unit_of(stmt.test)
@@ -236,6 +252,7 @@ class _FunctionUnits:
             self._merge(before, then_env, self.env)
             return
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self.unit_of(stmt.iter)
             before = dict(self.env)
             if isinstance(stmt.target, ast.Name):
                 self.env[stmt.target.id] = unit_of_name(stmt.target.id)
@@ -251,6 +268,8 @@ class _FunctionUnits:
             self._merge(before, before, self.env)
             return
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                self.unit_of(item.context_expr)
             self._block(stmt.body)
             return
         elif isinstance(stmt, ast.Try):
@@ -267,9 +286,22 @@ class _FunctionUnits:
             return
         elif isinstance(stmt, ast.Expr):
             self.unit_of(stmt.value)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            return  # nested scopes are analysed separately
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # The body is its own scope (analysed separately); decorators
+            # and defaults are evaluated here.
+            args = stmt.args
+            for expr in [*stmt.decorator_list, *args.defaults,
+                         *args.kw_defaults]:
+                if expr is not None:
+                    self.unit_of(expr)
+        elif isinstance(stmt, ast.ClassDef):
+            for expr in [*stmt.decorator_list, *stmt.bases,
+                         *(kw.value for kw in stmt.keywords)]:
+                self.unit_of(expr)
+            outer = self.env
+            self.env = dict(outer)
+            self._block(stmt.body)
+            self.env = outer
         else:
             # visit embedded expressions (e.g. assert) for call checks
             for child in ast.iter_child_nodes(stmt):
@@ -281,29 +313,27 @@ class _FunctionUnits:
         if isinstance(target, ast.Name):
             declared = unit_of_name(target.id)
             if declared is not None and unit is not None and declared != unit:
-                hint = _CONVERT_HINT.get(frozenset({declared, unit}),
-                                         "a repro.units conversion")
                 self.analysis.report(
                     self.mod, stmt,
                     f"unit conflict{self._where()}: assigns a {unit}-valued "
                     f"expression to '{target.id}' ({declared}); convert via "
-                    f"{hint} first",
+                    f"{_hint(declared, unit)} first",
                 )
             self.env[target.id] = declared if declared is not None else unit
         elif isinstance(target, ast.Attribute):
             declared = unit_of_name(target.attr)
             if declared is not None and unit is not None and declared != unit:
-                hint = _CONVERT_HINT.get(frozenset({declared, unit}),
-                                         "a repro.units conversion")
                 self.analysis.report(
                     self.mod, stmt,
                     f"unit conflict{self._where()}: assigns a {unit}-valued "
                     f"expression to attribute '{target.attr}' ({declared}); "
-                    f"convert via {hint} first",
+                    f"convert via {_hint(declared, unit)} first",
                 )
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._assign(elt, None, stmt)
+        else:
+            self._visit_children(target)  # a subscript's index expression
 
 
 class UnitFlow:
@@ -325,13 +355,8 @@ class UnitFlow:
 
     def run(self) -> list[Finding]:
         for mod in self.project.modules.values():
-            scope = _FunctionUnits(self, mod, owner="")
-            scope.run(
-                [s for s in mod.tree.body
-                 if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))],
-                return_unit=None,
-            )
+            _FunctionUnits(self, mod, owner="").run(mod.tree.body,
+                                                   return_unit=None)
         for func in self.project.functions.values():
             mod = self.project.modules[func.module]
             walker = _FunctionUnits(self, mod, owner=func.qualname)

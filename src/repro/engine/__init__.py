@@ -11,7 +11,7 @@ Layers (see DESIGN.md "Timing engine"):
 
 Everything user-facing (``TimedSystem``, ``FaultyTimedSystem``,
 ``replay_trace``, ``run_closed_loop``, ``rebuild_under_load``) is a thin
-source/facade over this package; kdd-lint rule RPR009 keeps clock
+source/facade over this package; analyzer rule RPR009 keeps clock
 arithmetic from leaking back out.
 """
 

@@ -1,7 +1,7 @@
 """Event core of the discrete-event simulation engine.
 
 Everything that advances simulated time in this repository lives in
-:mod:`repro.engine` (enforced by kdd-lint rule RPR009).  This module
+:mod:`repro.engine` (enforced by analyzer rule RPR009).  This module
 holds the two primitives the rest of the engine builds on:
 
 * :class:`EventLoop` — a deterministic event heap.  Events are ordered

@@ -18,7 +18,7 @@ is intended.  Wall times are never gated here; the end-to-end benchmark
 under ``benchmarks/e2e`` measures speed.
 
 This module is deliberately outside :mod:`repro.sim`/:mod:`repro.core`
-so it may read the wall clock (kdd-lint RPR001 exempts the harness).
+so it may read the wall clock (the analyzer's RPR002 exempts the harness).
 """
 
 from __future__ import annotations

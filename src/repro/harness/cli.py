@@ -21,14 +21,10 @@ from .sweep import SweepEngine, SweepProgress
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Delegate `kdd-repro lint ...` wholesale to the kdd-lint CLI before
-    # argparse sees the arguments (REMAINDER would swallow leading
-    # options like --list-rules otherwise).
+    # Delegate `kdd-repro analyze ...` wholesale to the analyzer CLI
+    # before argparse sees the arguments (REMAINDER would swallow
+    # leading options like --format otherwise).
     args_in = sys.argv[1:] if argv is None else argv
-    if args_in[:1] == ["lint"]:
-        from ..devtools.lint.cli import main as lint_main
-
-        return lint_main(args_in[1:])
     if args_in[:1] == ["analyze"]:
         from ..devtools.analyze.cli import main as analyze_main
 
@@ -77,16 +73,10 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     sub.add_parser(
-        "lint",
-        help="run the kdd-lint static analyzer (determinism/taxonomy/unit "
-        "invariants); same as the kdd-lint console script",
-        add_help=False,
-    )
-
-    sub.add_parser(
         "analyze",
-        help="whole-program analysis: layering contract, unit/RNG taint, "
-        "exception-flow contracts; exports the import graph",
+        help="static analysis: determinism/taxonomy rules, layering "
+        "contract, unit/RNG taint, exception-flow, effect and columnar "
+        "contracts; exports the import graph",
         add_help=False,
     )
 

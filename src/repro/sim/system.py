@@ -14,7 +14,7 @@ across disks, its member *writes* start only after the reads finish —
 the two phases of a read-modify-write.
 
 This class is deliberately a thin facade: it owns no clocks and no
-scheduling logic (kdd-lint rule RPR009 enforces that only
+scheduling logic (analyzer rule RPR009 enforces that only
 :mod:`repro.engine` advances simulated time).  Cross-cutting behaviour
 is added by installing engine hooks — see
 :class:`repro.faults.FaultyTimedSystem` for the fault pipeline and

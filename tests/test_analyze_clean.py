@@ -1,9 +1,11 @@
-"""Tier-1 gate: ``src/repro`` is whole-program-analysis clean.
+"""Tier-1 gate: ``src/repro`` passes its own static analysis.
 
-The analyzer's findings over the real tree must be empty (with no
-baseline), including the opt-in dead-code report, and two runs must
-render byte-identical output — the same discipline kdd-lint is held to
-by ``test_lint_clean``.
+This is the executable form of the invariants in DESIGN.md §8, §10,
+§12 and §15: if a change reintroduces wall-clock reads, unseeded
+randomness, builtin raises, hash-ordered iteration, an upward import, a
+unit conflict, a dead public symbol, etc. into ``src/repro``, this
+test — and the CI lint job — fail.  Two runs must render
+byte-identical output.
 """
 
 import json
@@ -13,6 +15,7 @@ import pytest
 
 from repro.devtools.analyze import Project
 from repro.devtools.analyze.cli import analyze_project
+from repro.devtools.analyze.deadcode import check_dead_code
 from repro.devtools.analyze.graphio import architecture_md, graph_dot, graph_json
 
 SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -30,14 +33,15 @@ def test_src_repro_is_analyze_clean(project):
 
 
 def test_src_repro_has_no_dead_public_symbols(project):
-    findings = analyze_project(project, dead_code=True)
+    # RPR110 runs in the default pass above; this names its failures.
+    findings = [f for f in check_dead_code(project) if f.code == "RPR110"]
     rendered = "\n".join(f.render() for f in findings)
     assert findings == [], f"dead-code findings:\n{rendered}"
 
 
 def test_output_is_byte_identical_across_runs(project):
     def render(proj):
-        findings = analyze_project(proj, dead_code=True)
+        findings = analyze_project(proj)
         return (
             json.dumps([f.to_json() for f in findings], sort_keys=True)
             + graph_json(proj) + graph_dot(proj) + architecture_md(proj)

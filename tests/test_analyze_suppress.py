@@ -1,10 +1,8 @@
-"""Shared inline suppressions and the analyzer CLI surface.
+"""Inline suppressions and the analyzer CLI surface.
 
-One suppression grammar serves both checkers: kdd-lint reads
-``# kdd-lint: disable=...`` comments and the whole-program analyzer
-reads ``# kdd-analyze: disable=...`` through the same parser
-(:func:`repro.devtools.lint.engine.parse_suppressions`).  These tests
-pin the grammar sharing, the unused-suppression meta-findings, the
+The analyzer reads ``# kdd-analyze: disable=...`` comments
+(:func:`repro.devtools.analyze.suppress.parse_suppressions`).  These
+tests pin the grammar, the unused-suppression meta-findings, the
 unknown-rule report for retired codes, and the CLI exit discipline for
 the report-export flags.
 """
@@ -19,9 +17,10 @@ from repro.devtools.analyze.suppress import (
     COLUMNAR_CODES,
     EFFECTS_CODES,
     FLOW_CODES,
+    RULE_CODES,
     apply_suppressions,
+    parse_suppressions,
 )
-from repro.devtools.lint.engine import lint_source, parse_suppressions
 
 from tests.analyze_fixtures import write_fixture_tree
 
@@ -33,31 +32,14 @@ def codes(findings):
 
 
 class TestSharedGrammar:
-    def test_tool_parameter_selects_the_comment_tag(self):
-        source = (
-            "a = 1  # kdd-lint: disable=RPR002\n"
-            "b = 2  # kdd-analyze: disable=RPR302\n"
-        )
-        assert parse_suppressions(source) == {1: ["RPR002"]}
-        assert parse_suppressions(source, tool="kdd-analyze") == \
-            {2: ["RPR302"]}
-
     def test_comma_lists_and_all_parse_identically(self):
         source = "x = 1  # kdd-analyze: disable=RPR301, RPR304\ny = 2  # kdd-analyze: disable=all\n"
-        sup = parse_suppressions(source, tool="kdd-analyze")
+        sup = parse_suppressions(source)
         assert sup == {1: ["RPR301", "RPR304"], 2: ["all"]}
 
     def test_marker_inside_string_literal_is_not_a_suppression(self):
         source = 's = "# kdd-analyze: disable=RPR301"\n'
-        assert parse_suppressions(source, tool="kdd-analyze") == {}
-
-    def test_lint_ignores_analyzer_comments(self):
-        # An analyzer suppression must not show up as an unused
-        # kdd-lint suppression (or vice versa).
-        findings = lint_source(
-            "x = 1  # kdd-analyze: disable=RPR301\n", relpath="core/x.py"
-        )
-        assert findings == []
+        assert parse_suppressions(source) == {}
 
 
 class TestAnalyzerSuppressions:
@@ -109,30 +91,33 @@ class TestAnalyzerSuppressions:
         assert "unknown analyzer rule RPR999" in findings[0].message
 
     def test_retired_codes_are_unknown_rules(self, analyze_tree):
-        # RPR201, RPR203 and RPR303 left with the CacheSets mirror; a
-        # leftover suppression of one is a typo-class finding.
+        # RPR201, RPR203 and RPR303 left with the CacheSets mirror, and
+        # RPR007 left behind RPR104; a leftover suppression of one is a
+        # typo-class finding.
         project = analyze_tree({
             "core/flow.py": """\
                 x = 1  # kdd-analyze: disable=RPR303
                 y = 2  # kdd-analyze: disable=RPR201, RPR203
+                z = 3  # kdd-analyze: disable=RPR007
             """,
         })
         findings = apply_suppressions(project, [])
-        assert codes(findings) == ["RPR000"] * 3
+        assert codes(findings) == ["RPR000"] * 4
         assert [f.message for f in findings] == [
             f"suppression of unknown analyzer rule {code}"
-            for code in ("RPR303", "RPR201", "RPR203")
+            for code in ("RPR303", "RPR201", "RPR203", "RPR007")
         ]
 
     def test_code_families_partition_the_rule_space(self):
-        assert FLOW_CODES & EFFECTS_CODES == frozenset()
-        assert FLOW_CODES & COLUMNAR_CODES == frozenset()
-        assert EFFECTS_CODES & COLUMNAR_CODES == frozenset()
-        assert EFFECTS_CODES == frozenset({"RPR205", "RPR206", "RPR207"})
-        assert COLUMNAR_CODES == frozenset(
-            {"RPR301", "RPR302", "RPR304", "RPR305"}
-        )
-        assert ANALYZER_CODES == FLOW_CODES | EFFECTS_CODES | COLUMNAR_CODES
+        families = [RULE_CODES, FLOW_CODES, EFFECTS_CODES, COLUMNAR_CODES]
+        assert sum(map(len, families)) == len(ANALYZER_CODES)
+        assert ANALYZER_CODES == frozenset().union(*families)
+        assert ANALYZER_CODES == {
+            *(f"RPR00{i}" for i in (1, 2, 3, 4, 5, 6, 8, 9)),
+            *(f"RPR1{i:02d}" for i in range(1, 12)),
+            "RPR205", "RPR206", "RPR207",
+            "RPR301", "RPR302", "RPR304", "RPR305",
+        }
 
     def test_real_tree_has_no_unused_analyzer_suppressions(self):
         # Every inline analyzer exception in src/repro must still be
@@ -146,8 +131,9 @@ class TestAnalyzerSuppressions:
 
 class TestColumnarCli:
     def _violating_tree(self, tmp_path):
-        # One columnar violation plus one flow violation (an unused
-        # import): a run reports both families.
+        # One columnar violation plus two flow violations (an unused
+        # import, an unreferenced public function): a run reports both
+        # families.
         return write_fixture_tree(tmp_path, {
             "core/flow.py": """\
                 import json
@@ -163,7 +149,7 @@ class TestColumnarCli:
         rc = analyze_main(["--format", "json", str(root)])
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
-        assert set(doc["counts"]) == {"RPR109", "RPR301"}
+        assert set(doc["counts"]) == {"RPR109", "RPR110", "RPR301"}
 
     def test_columnar_report_export(self, tmp_path, capsys):
         target = tmp_path / "columnar-report.json"

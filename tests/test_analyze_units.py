@@ -1,13 +1,14 @@
-"""Flow-sensitive unit taint (RPR104) and the RPR007 lexical fallback.
+"""Flow-sensitive unit taint (RPR104).
 
 The dataflow analysis must catch taint laundered through blandly named
-locals and across resolved call boundaries — the cases the lexical
-kdd-lint rule structurally cannot see — while staying silent on rate
-names (``*_per_*``) and explicit conversions.
+locals and across resolved call boundaries, and every expression shape
+the retired lexical rule RPR007 saw, while staying silent on rate names
+(``*_per_*``) and explicit conversions.
 """
 
+import pytest
+
 from repro.devtools.analyze.unitflow import check_units, unit_of_name
-from repro.devtools.lint.engine import lint_paths
 
 
 def codes(findings):
@@ -168,29 +169,105 @@ class TestTaintAcrossCalls:
         assert check_units(project) == []
 
 
+#: Every shape the retired lexical rule RPR007 fired on: its five trigger
+#: fixtures, then comparisons, subexpressions, statement contexts, and
+#: unit-named bindings that only one branch, loop or ``try`` arm makes.
+RPR007_SHAPES = [
+    pytest.param("total = cache_bytes + cache_pages\n", id="add"),
+    pytest.param("left = size_bytes - used_pages\n", id="sub"),
+    pytest.param("ok = nbytes < npages\n", id="compare"),
+    pytest.param("ok = obj.nbytes == obj.npages\n", id="compare-attrs"),
+    pytest.param("rem = free_bytes % npages\n", id="mod"),
+    pytest.param(
+        "def f(size_bytes, free_pages):\n"
+        "    return size_bytes >= free_pages\n",
+        id="compare-in-return"),
+    pytest.param("ok = 0 < used_bytes <= npages\n", id="compare-chained"),
+    pytest.param("assert used_bytes <= cache_pages\n", id="compare-in-assert"),
+    pytest.param("log(cache_bytes + cache_pages)\n", id="unresolved-call-arg"),
+    pytest.param("xs = [cache_bytes - cache_pages]\n", id="list-literal"),
+    pytest.param('d = {"left": size_bytes - used_pages}\n', id="dict-literal"),
+    pytest.param("ys = [cache_bytes + cache_pages for _ in items]\n",
+                 id="comprehension"),
+    pytest.param("grow = lambda: cache_bytes + cache_pages\n", id="lambda"),
+    pytest.param("row = table[cache_bytes - cache_pages]\n", id="subscript"),
+    pytest.param('msg = f"{cache_bytes + cache_pages}"\n', id="f-string"),
+    pytest.param("for i in range(cache_bytes - cache_pages):\n    pass\n",
+                 id="for-iterable"),
+    pytest.param("with span(cache_bytes + cache_pages):\n    pass\n",
+                 id="with-item"),
+    pytest.param("def f(n=cache_bytes + cache_pages):\n    return n\n",
+                 id="default"),
+    pytest.param(
+        "@cached(cache_bytes + cache_pages)\ndef f():\n    return 1\n",
+        id="decorator"),
+    pytest.param("class Layout:\n    total = cache_bytes + cache_pages\n",
+                 id="class-body"),
+    pytest.param(
+        "def f(cond, npages):\n"
+        "    if cond:\n"
+        "        free_bytes = 4096\n"
+        "    return free_bytes - npages\n",
+        id="bound-in-one-branch"),
+    pytest.param(
+        "def f(sizes, npages):\n"
+        "    for size in sizes:\n"
+        "        last_bytes = size\n"
+        "    return last_bytes + npages\n",
+        id="bound-in-for-loop"),
+    pytest.param(
+        "def f(npages):\n"
+        "    while more():\n"
+        "        got_bytes = read()\n"
+        "    return got_bytes % npages\n",
+        id="bound-in-while-loop"),
+    pytest.param(
+        "def f(npages):\n"
+        "    try:\n"
+        "        used_bytes = probe()\n"
+        "    except KeyError:\n"
+        "        return 0\n"
+        "    return used_bytes - npages\n",
+        id="bound-in-try-arm"),
+]
+
+#: RPR007's clean fixtures and the rate-name case: conversions by
+#: ``*``/``//``, same-unit arithmetic, an untyped operand, and a rate.
+RPR007_CLEAN = [
+    pytest.param("total_bytes = npages * page_size\n", id="mult-converts"),
+    pytest.param("npages = total_bytes // page_size\n", id="floordiv-converts"),
+    pytest.param("total = a_bytes + b_bytes\n", id="same-unit-bytes"),
+    pytest.param("total = a_pages + b_pages\n", id="same-unit-pages"),
+    pytest.param("ok = nbytes < limit\n", id="untyped-operand"),
+    pytest.param(
+        "def f(n_ops, elapsed_ms):\n"
+        "    ops_per_ms = n_ops / elapsed_ms\n"
+        "    return ops_per_ms + n_ops\n",
+        id="rate-name"),
+]
+
+
+class TestRetiredLexicalRule:
+    """RPR104 sees every expression RPR007 saw, so RPR007 is retired."""
+
+    @pytest.mark.parametrize("snippet", RPR007_SHAPES)
+    def test_shape_fires_once(self, snippet, analyze_tree):
+        project = analyze_tree({"sim/api.py": snippet})
+        assert [f.code for f in check_units(project)] == ["RPR104"]
+
+    @pytest.mark.parametrize("snippet", RPR007_CLEAN)
+    def test_clean_shape_is_silent(self, snippet, analyze_tree):
+        project = analyze_tree({"sim/api.py": snippet})
+        assert check_units(project) == []
+
+
 class TestLexicalFallback:
-    """kdd-lint RPR007 stays as the fast per-file fallback, minus the
-    rate-name false positive fixed in this change."""
+    """Unit-named parameters mixed inside a function body: the case RPR007
+    was kept as a fallback for is an RPR104 without it."""
 
-    def run_rule(self, source, tmp_path):
-        path = tmp_path / "repro" / "sim" / "api.py"
-        path.parent.mkdir(parents=True)
-        path.write_text(source, encoding="utf-8")
-        return lint_paths([path], select={"RPR007"})
-
-    def test_rate_name_no_longer_flags(self, tmp_path):
-        findings = self.run_rule(
-            "def f(n_ops, elapsed_ms):\n"
-            "    ops_per_ms = n_ops / elapsed_ms\n"
-            "    return ops_per_ms + n_ops\n",
-            tmp_path,
-        )
-        assert findings == []
-
-    def test_real_mixing_still_flags(self, tmp_path):
-        findings = self.run_rule(
-            "def f(size_bytes, dirty_pages):\n"
-            "    return size_bytes + dirty_pages\n",
-            tmp_path,
-        )
-        assert codes(findings) == ["RPR007"]
+    def test_real_mixing_still_flags(self, analyze_tree):
+        project = analyze_tree({"sim/api.py": """\
+            def f(size_bytes, dirty_pages):
+                return size_bytes + dirty_pages
+        """})
+        assert [f.code for f in check_units(project)] == ["RPR104"]
