@@ -443,7 +443,7 @@ class CrashMatrixReport:
         return {k for k, n in self.kind_counts.items() if n > 0}
 
     def row(self) -> dict:
-        """Flat JSON-friendly summary (bench + CI artifact)."""
+        """Flat JSON-friendly summary of the run."""
         return {
             "accesses": self.accesses,
             "boundaries": self.boundaries,

@@ -11,6 +11,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -228,36 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         "as JSON",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run every figure grid once and track the result-row "
-        "checksums in the BENCH_<fig>.json baselines at the repo root",
-    )
-    bench.add_argument(
-        "figures", nargs="*",
-        help="bench ids (fig4..fig10, reliability; default: all)",
-    )
-    bench.add_argument(
-        "--scale", type=float, default=None,
-        help="workload scale for the trace-driven benches "
-        "(default: the pinned bench scale)",
-    )
-    bench.add_argument(
-        "--out-dir", default=".",
-        help="directory holding the BENCH_<fig>.json baselines "
-        "(default: current directory)",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="CI mode: compare against the committed baselines without "
-        "rewriting them; fail on checksum drift or missing baselines",
-    )
-    bench.add_argument(
-        "--artifact-dir", default=None,
-        help="also write every fresh report here (works with --check; "
-        "CI uploads this directory)",
-    )
-
     simulate = sub.add_parser(
         "simulate", help="run one policy over one workload and print the row"
     )
@@ -282,7 +253,6 @@ def main(argv: list[str] | None = None) -> int:
         "list": _list_command,
         "run": _run_command,
         "simulate": _simulate_command,
-        "bench": _bench_command,
         "faults": _faults_command,
         "reliability": _reliability_command,
         "serve": _serve_command,
@@ -567,25 +537,20 @@ def _serve_command(args) -> int:
     return 0
 
 
-def _bench_command(args) -> int:
-    from .bench import BENCH_SCALE, run_benches
-
-    return run_benches(
-        figures=args.figures or None,
-        out_dir=args.out_dir,
-        scale=args.scale if args.scale is not None else BENCH_SCALE,
-        check_only=args.check,
-        artifact_dir=args.artifact_dir,
-    )
-
-
 def _simulate_command(args) -> int:
     from .report import render_table
     from .runner import simulate_policy
 
+    # The chained test also rejects NaN.
+    if args.cache_pages is None and not 0 < args.cache_fraction < math.inf:
+        raise ConfigError("--cache-fraction must be positive and finite, "
+                          f"got {args.cache_fraction}")
     trace = _load_workload(args.workload, args.scale)
     stats = trace.stats()
-    cache_pages = args.cache_pages or max(64, int(stats.unique_pages * args.cache_fraction))
+    if args.cache_pages is not None:
+        cache_pages = args.cache_pages
+    else:
+        cache_pages = max(64, int(stats.unique_pages * args.cache_fraction))
     print(
         f"workload {stats.name}: {stats.requests:,} page accesses, "
         f"{stats.unique_pages:,} unique pages, read ratio {stats.read_ratio:.2f}; "

@@ -100,6 +100,13 @@ def _grid_cell(policy: str, trace: tuple, cache_pages: int, seed: int,
 def table1(scale: float = DEFAULT_SCALE,
            engine: SweepEngine | None = None) -> FigureResult:
     """Regenerate Table I from the calibrated synthetic traces."""
+    cells = [
+        SweepCell(kind="stats", trace=workload_trace(name, scale))
+        for name in ALL_WORKLOADS
+    ]
+    sweep = _engine(engine).run(cells)
+    # The note divides by the scale, so build it only after the sweep
+    # has rejected a non-positive one.
     result = FigureResult(
         "table1",
         "Characteristics of I/O workload traces (scaled)",
@@ -108,11 +115,6 @@ def table1(scale: float = DEFAULT_SCALE,
             f"{1 / scale:g} to compare with the paper's absolute numbers",
         ],
     )
-    cells = [
-        SweepCell(kind="stats", trace=workload_trace(name, scale))
-        for name in ALL_WORKLOADS
-    ]
-    sweep = _engine(engine).run(cells)
     for name, row in zip(ALL_WORKLOADS, sweep.rows):
         spec = TABLE1_SPECS[name]
         row = dict(row)

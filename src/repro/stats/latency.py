@@ -7,59 +7,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimulationError
-from .streaming import P2Quantile
-
-#: Quantiles reported by :class:`LatencySummary`, shared by both modes.
-_SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
 
 
 class LatencyRecorder:
     """Accumulates per-request response times.
 
-    The default (exact) mode keeps samples in an amortized-growth float64
-    buffer (capacity doubles when full), so :meth:`record` is O(1)
-    amortized and :meth:`summary` reduces a zero-copy view instead of
-    re-materializing the whole history into a fresh ndarray on every
-    call.
-
-    ``streaming=True`` switches to bounded state: count, running mean,
-    maximum, and one :class:`~repro.stats.streaming.P2Quantile` per
-    reported percentile.  :meth:`state_bytes` is then constant for the
-    life of the recorder, which is what lets million-request serving
-    runs assert a fixed metric byte budget.  Count, mean, and maximum
-    are exact in both modes; streaming percentiles are P² estimates.
+    Samples live in an amortized-growth float64 buffer (capacity doubles
+    when full), so :meth:`record` is O(1) amortized and :meth:`summary`
+    reduces a zero-copy view instead of re-materializing the whole
+    history into a fresh ndarray on every call.
     """
 
-    __slots__ = ("_buf", "_n", "_sum", "_max", "_quantiles")
+    __slots__ = ("_buf", "_n")
 
-    def __init__(self, streaming: bool = False) -> None:
+    def __init__(self) -> None:
         self._n = 0
-        self._sum = 0.0
-        self._max = 0.0
-        if streaming:
-            self._buf = None
-            self._quantiles = tuple(P2Quantile(p) for p in _SUMMARY_QUANTILES)
-        else:
-            self._buf = np.empty(64, dtype=np.float64)
-            self._quantiles = None
-
-    @property
-    def streaming(self) -> bool:
-        return self._buf is None
+        self._buf = np.empty(64, dtype=np.float64)
 
     def record(self, response_time: float) -> None:
         # A negative response time is a simulator fault (completion before
         # arrival), not a configuration mistake.
         if response_time < 0:
             raise SimulationError(f"negative response time {response_time}")
-        if self._buf is None:
-            self._n += 1
-            self._sum += response_time
-            if response_time > self._max:
-                self._max = response_time
-            for est in self._quantiles:
-                est.add(response_time)
-            return
         if self._n == self._buf.shape[0]:
             grown = np.empty(2 * self._buf.shape[0], dtype=np.float64)
             grown[: self._n] = self._buf
@@ -70,25 +39,10 @@ class LatencyRecorder:
     def __len__(self) -> int:
         return self._n
 
-    def state_bytes(self) -> int:
-        if self._buf is None:
-            return sum(est.state_bytes() for est in self._quantiles) + 3 * 8
-        return int(self._buf.nbytes) + 3 * 8
-
     def summary(self) -> "LatencySummary":
         if not self._n:
             return LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0,
                                   maximum=0.0)
-        if self._buf is None:
-            p50, p95, p99 = (est.value() for est in self._quantiles)
-            return LatencySummary(
-                count=self._n,
-                mean=self._sum / self._n,
-                p50=p50,
-                p95=p95,
-                p99=p99,
-                maximum=self._max,
-            )
         arr = self._buf[: self._n]
         return LatencySummary(
             count=self._n,

@@ -4,8 +4,8 @@ Everything in this module keeps O(1) state in the number of observations:
 quantiles use the P² (piecewise-parabolic) algorithm of Jain & Chlamtac
 (CACM 1985) with five markers per target, and throughput uses a rolling
 per-window counter.  Each estimator reports its resident state via
-``state_bytes()`` so callers (the serve driver, the bench harness) can
-assert a fixed byte budget over million-request runs.
+``state_bytes()`` so callers (the serve driver) can assert a fixed
+byte budget over million-request runs.
 """
 
 from __future__ import annotations

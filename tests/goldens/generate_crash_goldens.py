@@ -7,11 +7,12 @@ stack, a capture-mode shim, every access of ``crash_workload``, then
 every persistence boundary the production code announced.  The golden
 is the SHA-256 of that list, plus its length for readable diffs.
 
-The crash matrix proves RPO=0 at whatever boundaries exist, and
-``BENCH_reliability.json`` gates only their count and per-kind totals;
-this golden also pins *where* each boundary falls, so a refactor of the
+The crash matrix proves RPO=0 at whatever boundaries exist, and its
+report row gives only their count and per-kind totals; this golden
+also pins *where* each boundary falls, so a refactor of the
 journaling, staging or cleaning paths that moves a persistence point
-fails ``pytest``.
+fails ``pytest``.  The first workload is the matrix's own capture, so
+the golden fixes the boundaries behind that row's counts too.
 
 Usage::
 

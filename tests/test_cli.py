@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.harness.cli import main as cli_main
 from repro.traces import uniform_workload, write_spc
 
@@ -61,6 +63,19 @@ class TestSimulateCommand:
         assert err.startswith("kdd-repro simulate: unknown policy 'bogus'")
         assert "Traceback" not in err
 
+    def test_simulate_bad_cache_size_exits_2(self, capsys):
+        for flag, value, message in (
+            ("--cache-pages", "0", "cache_pages must be >= 1"),
+            ("--cache-fraction", "0", "--cache-fraction must be positive"),
+            ("--cache-fraction", "-1", "--cache-fraction must be positive"),
+            ("--cache-fraction", "inf", "--cache-fraction must be positive"),
+        ):
+            rc = cli_main(["simulate", "wt", "--workload", "Fin2",
+                           "--scale", "0.001", flag, value])
+            assert rc == 2, (flag, value)
+            assert capsys.readouterr().err.startswith(
+                f"kdd-repro simulate: {message}"), (flag, value)
+
     def test_simulate_compression_flag(self, capsys):
         rc = cli_main([
             "simulate", "kdd", "--workload", "Fin2", "--scale", "0.001",
@@ -79,9 +94,19 @@ class TestRunCommand:
         assert rc == 0
 
     def test_negative_scale_exits_2(self, capsys):
-        assert cli_main(["run", "fig5", "--scale", "-1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("kdd-repro run: scale factor must be positive")
+        for figure in ("fig5", "table1", "all"):
+            for scale in ("-1", "0"):
+                assert cli_main(["run", figure, "--scale", scale]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(
+                    "kdd-repro run: scale factor must be positive"), \
+                    (figure, scale, err)
+
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_unknown_figure_exits_2(self, capsys):
         assert cli_main(["run", "fig99"]) == 2

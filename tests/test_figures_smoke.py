@@ -8,6 +8,7 @@ meaningful scales with the paper-shape assertions.
 from repro.harness.figures import (
     ALL_FIGURES,
     _cache_sizes,
+    _grid_cell,
     fig4,
     fig5,
     fig9,
@@ -16,7 +17,7 @@ from repro.harness.figures import (
     table1,
     table2,
 )
-from repro.harness.sweep import SweepEngine
+from repro.harness.sweep import SweepEngine, workload_trace
 from repro.traces.workloads import ALL_WORKLOADS, workload_spec
 
 MICRO = 0.0008
@@ -27,6 +28,14 @@ def test_registry_covers_every_table_and_figure():
         "table1", "fig4", "fig5", "fig6", "fig7", "fig8",
         "fig9", "fig10", "fig11", "table2",
     }
+
+
+def test_kdd_variant_cells_map_to_kdd():
+    cell = _grid_cell("kdd-25", workload_trace("Fin1", MICRO), 128, seed=0)
+    assert cell.policy == "kdd"
+    assert cell.label == "kdd-25"
+    assert dict(cell.params)["mean_compression"] == 0.25
+    assert cell.seed == 0
 
 
 def test_table1_micro():

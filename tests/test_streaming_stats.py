@@ -3,9 +3,8 @@
 The P² estimator backs the serving layer's O(1) metrics, so its
 accuracy contract is property-tested against ``np.percentile`` on
 adversarial distributions (heavy tails, duplicates, sorted and
-reverse-sorted feeds), and the streaming :class:`LatencyRecorder` must
-agree exactly with the buffering one on count/mean/max while keeping a
-constant byte footprint.
+reverse-sorted feeds).  :class:`LatencyRecorder` buffers every sample
+and summarises them exactly.
 """
 
 import numpy as np
@@ -156,27 +155,6 @@ class TestWindowedThroughput:
 
 
 class TestLatencyRecorderStreaming:
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16 - 1), n=st.integers(1, 400))
-    def test_exact_and_streaming_agree_on_moments(self, seed, n):
-        values = np.random.default_rng(seed).lognormal(0.0, 1.5, n)
-        exact = LatencyRecorder()
-        stream = LatencyRecorder(streaming=True)
-        for v in values:
-            exact.record(float(v))
-            stream.record(float(v))
-        a, b = exact.summary(), stream.summary()
-        assert a.count == b.count
-        assert a.mean == pytest.approx(b.mean)
-        assert a.maximum == pytest.approx(b.maximum)
-
-    def test_streaming_footprint_is_constant(self):
-        rec = LatencyRecorder(streaming=True)
-        before = rec.state_bytes()
-        for v in np.random.default_rng(0).random(10_000):
-            rec.record(float(v))
-        assert rec.state_bytes() == before
-
     def test_buffered_summary_unchanged(self):
         """The exact path is the golden-file contract: unchanged."""
         rec = LatencyRecorder()
@@ -185,21 +163,3 @@ class TestLatencyRecorderStreaming:
         s = rec.summary()
         assert s.count == 4
         assert s.mean == pytest.approx(2.5)
-        assert not rec.streaming
-
-    def test_streaming_quantiles_close_to_exact(self):
-        values = np.random.default_rng(3).lognormal(0.0, 1.0, 3000)
-        exact = LatencyRecorder()
-        stream = LatencyRecorder(streaming=True)
-        for v in values:
-            exact.record(float(v))
-            stream.record(float(v))
-        a, b = exact.summary(), stream.summary()
-        for name in ("p50", "p95", "p99"):
-            lo = float(np.percentile(values, 100.0 * max(
-                0.0, {"p50": 0.44, "p95": 0.89, "p99": 0.93}[name])))
-            hi = float(np.percentile(values, 100.0 * min(
-                1.0, {"p50": 0.56, "p95": 1.0, "p99": 1.0}[name])))
-            got = getattr(b, name)
-            assert lo <= got <= hi, (name, got, getattr(a, name))
-        assert b.maximum == pytest.approx(a.maximum)
