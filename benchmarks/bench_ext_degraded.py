@@ -8,10 +8,10 @@ and its failure mode needs no full-array scrub) keeps the interference
 short.  This bench measures foreground latency with and without
 resync traffic sharing the disks.
 
-The resync batches ride ``TimedSystem.inject_disk_ops``, which the
+The resync batches ride ``SimEngine.inject_disk_ops``, which the
 engine schedules at background priority (tag ``inject``) — under the
-default FCFS discipline that is pure contention, exactly as before the
-engine refactor; a ``PriorityFCFS`` discipline would throttle it.
+default FCFS discipline that is pure contention; a ``PriorityFCFS``
+discipline on the engine's resources would throttle it.
 """
 
 import heapq
@@ -19,9 +19,9 @@ import heapq
 import numpy as np
 
 from repro.cache import CacheConfig
+from repro.engine import SimEngine
 from repro.harness import build_policy
 from repro.raid import DiskOp, RAIDArray, RaidLevel
-from repro.sim import TimedSystem
 
 
 def run_loop_with_interference(policy_name, interference_every, seed=0,
@@ -31,9 +31,9 @@ def run_loop_with_interference(policy_name, interference_every, seed=0,
     injected at the current time.  ``interference_every=None`` disables."""
     raid = RAIDArray(RaidLevel.RAID5, ndisks=5, chunk_pages=16,
                      pages_per_disk=1 << 16)
-    system = TimedSystem(build_policy(policy_name,
-                                      CacheConfig(cache_pages=8192, seed=seed),
-                                      raid))
+    system = SimEngine(build_policy(policy_name,
+                                    CacheConfig(cache_pages=8192, seed=seed),
+                                    raid))
     rng = np.random.default_rng(seed)
     pages = rng.integers(0, 40_000, size=n_requests)
     is_read = rng.random(n_requests) < 0.5

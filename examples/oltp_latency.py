@@ -11,8 +11,9 @@ Run:  python examples/oltp_latency.py
 """
 
 from repro.cache import CacheConfig
+from repro.engine import SimEngine
 from repro.harness import build_policy, make_raid_for_trace, render_table
-from repro.sim import TimedSystem, replay_trace
+from repro.sim import replay_trace
 from repro.traces import make_workload, workload_spec
 
 SCALE = 0.003
@@ -34,7 +35,7 @@ def main() -> None:
     for policy in ("nossd", "wa", "wt", "leavo", "kdd"):
         raid = make_raid_for_trace(trace)
         config = CacheConfig(cache_pages=cache_pages, mean_compression=0.25, seed=1)
-        system = TimedSystem(build_policy(policy, config, raid))
+        system = SimEngine(build_policy(policy, config, raid))
         rep = replay_trace(system, trace, max_requests=10_000, time_scale=time_scale)
         if policy == "nossd":
             baseline_ms = rep.mean_response_ms

@@ -18,8 +18,8 @@ Run:  python examples/op_trace.py
 """
 
 from repro.cache import CacheConfig
-from repro.engine import InstrumentationHook
-from repro.faults import FaultConfig, FaultyTimedSystem
+from repro.engine import FaultPipelineHook, InstrumentationHook, SimEngine
+from repro.faults import FaultConfig
 from repro.harness import build_policy, render_table
 from repro.raid import RAIDArray, RaidLevel
 from repro.sim import replay_trace
@@ -35,11 +35,11 @@ def main() -> None:
         "kdd", CacheConfig(cache_pages=256, mean_compression=0.25, seed=1),
         raid,
     )
-    system = FaultyTimedSystem(
-        policy,
+    system = SimEngine(policy)
+    system.add_hook(FaultPipelineHook(
         FaultConfig(seed=7, ure_rate=0.005, timeout_rate=0.01),
         retry="backoff",
-    )
+    ))
     instrument = InstrumentationHook()
     system.add_hook(instrument)
 

@@ -58,6 +58,8 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.cache_pages < 1:
             raise ConfigError("cache_pages must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.meta_partition_frac < 0.2:
             raise ConfigError("meta_partition_frac must be in (0, 0.2)")
         # The watermarks must be strictly ordered: with low_watermark ==

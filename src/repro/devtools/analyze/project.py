@@ -12,7 +12,7 @@ Module naming
 -------------
 
 Modules are named by their dotted path under the ``repro`` package
-root: ``src/repro/sim/system.py`` is ``repro.sim.system`` and the root
+root: ``src/repro/sim/openloop.py`` is ``repro.sim.openloop`` and the root
 ``__init__.py`` is ``repro``.  Fixture trees only need a ``repro/``
 directory somewhere on the path for the same rule to apply.
 """
@@ -74,7 +74,7 @@ class Finding:
 def repro_relpath(path: Path) -> str:
     """Path relative to the ``repro`` package root, as a posix string.
 
-    ``src/repro/sim/system.py`` -> ``sim/system.py``.  Files outside a
+    ``src/repro/sim/openloop.py`` -> ``sim/openloop.py``.  Files outside a
     ``repro`` directory fall back to their basename, which leaves them
     unscoped (path-scoped rules treat them as top-level modules).
     """
@@ -112,7 +112,7 @@ def iter_python_files(paths: list[Path]) -> list[Path]:
 class ImportEdge:
     """One import of a project module by another."""
 
-    src: str  # importing module, e.g. "repro.faults.timed"
+    src: str  # importing module, e.g. "repro.engine.system"
     dst: str  # imported module, e.g. "repro.engine.hooks"
     line: int
     col: int
@@ -188,8 +188,8 @@ class FuncInfo:
 class ModuleInfo:
     """One parsed module plus everything extracted from it."""
 
-    name: str  # dotted, e.g. "repro.sim.system"
-    relpath: str  # repro-relative path, e.g. "sim/system.py"
+    name: str  # dotted, e.g. "repro.sim.openloop"
+    relpath: str  # repro-relative path, e.g. "sim/openloop.py"
     path: str  # path as given (for display)
     tree: ast.Module
     source: str
@@ -222,7 +222,7 @@ def finding_at(
 
 
 def _module_name(relpath: str) -> str:
-    """``sim/system.py`` -> ``repro.sim.system``; ``__init__.py`` -> ``repro``."""
+    """``sim/openloop.py`` -> ``repro.sim.openloop``; ``__init__.py`` -> ``repro``."""
     dotted = relpath[:-3].replace("/", ".")
     if dotted == "__init__":
         return "repro"

@@ -5,18 +5,24 @@ Layers (see DESIGN.md "Timing engine"):
 * :mod:`repro.engine.core` — deterministic event heap, typed op records;
 * :mod:`repro.engine.resources` — device resources (HDD members, SSD
   cache) behind pluggable queue disciplines (FCFS, priority-FCFS);
-* :mod:`repro.engine.hooks` — composable middleware: the fault pipeline
-  and op-level instrumentation;
-* :mod:`repro.engine.system` — :class:`SimEngine`, the request pipeline.
+* :mod:`repro.engine.hooks` — composable middleware: the fault
+  pipeline, op-level instrumentation and stale-stripe exposure;
+* :mod:`repro.engine.system` — :class:`SimEngine`, the timed system:
+  the request pipeline and its :class:`TimingReport`.
 
-Everything user-facing (``TimedSystem``, ``FaultyTimedSystem``,
-``replay_trace``, ``run_closed_loop``, ``rebuild_under_load``) is a thin
-source/facade over this package; analyzer rule RPR009 keeps clock
-arithmetic from leaking back out.
+A timed run is one :class:`SimEngine` with hooks installed on it, fed
+by a workload source (:mod:`repro.sim`: ``replay_trace``,
+``run_closed_loop``, ``rebuild_under_load``); analyzer rule RPR009
+keeps clock arithmetic from leaking out of this package.
 """
 
 from .core import Event, EventLoop, OpRecord, Priority, RequestRecord
-from .hooks import EngineHook, FaultPipelineHook, InstrumentationHook
+from .hooks import (
+    EngineHook,
+    FaultPipelineHook,
+    InstrumentationHook,
+    StaleExposureHook,
+)
 from .resources import (
     FCFS,
     DiskResource,
@@ -26,7 +32,7 @@ from .resources import (
     ServiceWindow,
     SSDResource,
 )
-from .system import SimEngine
+from .system import SimEngine, TimingReport
 
 __all__ = [
     "FCFS",
@@ -45,4 +51,6 @@ __all__ = [
     "SSDResource",
     "ServiceWindow",
     "SimEngine",
+    "StaleExposureHook",
+    "TimingReport",
 ]

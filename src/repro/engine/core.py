@@ -146,9 +146,6 @@ class EventLoop:
         heapq.heappush(self._heap, event)
         return event
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def step(self) -> bool:
         """Pop and run the earliest event; False when the heap is empty."""
         if not self._heap:

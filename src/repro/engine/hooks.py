@@ -1,12 +1,7 @@
 """Composable engine middleware: faults and instrumentation as hooks.
 
-The pre-engine code grew cross-cutting behaviour by subclassing the
-timing simulator and overriding its scheduling internals
-(``FaultyTimedSystem._serve_ssd``, ``_schedule_disk_phases``, ...).
-That pattern composes badly — two concerns would fight over the same
-override points.  The engine instead exposes a small hook protocol
-(:class:`EngineHook`); cross-cutting behaviour is a *stack* of hooks
-installed on one engine:
+The engine exposes a small hook protocol (:class:`EngineHook`);
+cross-cutting behaviour is a *stack* of hooks installed on one engine:
 
 * :class:`FaultPipelineHook` — the whole fault pipeline: scheduled
   whole-device failures, transparent retries, residual-fault escalation
@@ -19,6 +14,8 @@ installed on one engine:
   per-device utilisation timelines, queue-depth histograms, and JSONL
   op-trace export.  It observes the resources directly, so what it
   records is invariant under hook installation order.
+* :class:`StaleExposureHook` — samples the stale-stripe count after
+  every request, for the fault sweep's vulnerability-window exposure.
 
 Simulated-time arithmetic stays inside :mod:`repro.engine` (rule
 RPR009): hooks compute *when* things finish only by serving resources
@@ -34,9 +31,15 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigError, DegradedError
-from ..faults.retry import RetryPolicy
-from ..faults.schedule import FaultCounters, FaultKind, FaultSchedule
+from ..faults.retry import RetryPolicy, retry_policy
+from ..faults.schedule import (
+    FaultConfig,
+    FaultCounters,
+    FaultKind,
+    FaultSchedule,
+)
 from ..raid.array import DiskOp
+from ..stats.exposure import VulnerabilityExposure
 from .core import OpRecord, Priority, RequestRecord
 from .resources import ServiceWindow
 
@@ -106,7 +109,12 @@ class EngineHook:
 class FaultPipelineHook(EngineHook):
     """The fault pipeline as engine middleware.
 
-    Semantics (ported unchanged from the subclass-override era):
+    ``faults`` is a :class:`FaultConfig`, a ready :class:`FaultSchedule`
+    or ``None`` (``FaultConfig()``, which injects nothing); ``retry`` is
+    a :class:`RetryPolicy` or the name of one
+    (:data:`~repro.faults.retry.RETRY_POLICIES`).
+
+    Semantics:
 
     * every member disk gets its own seeded fault stream (``disk0``,
       ``disk1``, ...); the SSD cache gets a timeout-only stream
@@ -132,11 +140,15 @@ class FaultPipelineHook(EngineHook):
 
     def __init__(
         self,
-        schedule: FaultSchedule,
-        retry: RetryPolicy,
+        faults: FaultConfig | FaultSchedule | None = None,
+        retry: RetryPolicy | str = "backoff",
         repair_stale_on_demand: bool = True,
     ) -> None:
-        self.schedule = schedule
+        if not isinstance(faults, FaultSchedule):
+            faults = FaultSchedule(faults or FaultConfig())
+        self.schedule = faults
+        if not isinstance(retry, RetryPolicy):
+            retry = retry_policy(retry)
         self.retry = retry
         self.repair_stale_on_demand = repair_stale_on_demand
         self.counters = FaultCounters()
@@ -316,6 +328,30 @@ class FaultPipelineHook(EngineHook):
         row: dict[str, object] = dict(self.counters.row())
         row["fault_events"] = len(self.schedule.events)
         return row
+
+
+class StaleExposureHook(EngineHook):
+    """Samples the stale-stripe count after every foreground request.
+
+    The samples reduce to the shared
+    :class:`~repro.stats.exposure.VulnerabilityExposure` shape — the
+    same block the scrubber and the reliability cells report — so a
+    fault sweep's vulnerability-window exposure composes with both.
+    Sampling at request completion makes the span unit *accesses*, the
+    convention of every workload-driven producer.
+    """
+
+    def __init__(self) -> None:
+        self._samples: list[int] = []
+
+    def on_request_done(self, engine: SimEngine,
+                        record: RequestRecord) -> None:
+        self._samples.append(len(engine.policy.raid.stale_stripes))
+
+    @property
+    def exposure(self) -> VulnerabilityExposure:
+        """The exposure observed so far, in the shared shape."""
+        return VulnerabilityExposure.from_samples(self._samples)
 
 
 # ---------------------------------------------------------------------------

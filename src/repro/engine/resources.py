@@ -107,9 +107,6 @@ class QueueDiscipline:
                    priority: Priority) -> float:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class FCFS(QueueDiscipline):
     """First come, first served: start when the device drains its queue."""
@@ -117,9 +114,6 @@ class FCFS(QueueDiscipline):
     def start_time(self, resource: "Resource", earliest: float,
                    priority: Priority) -> float:
         return max(earliest, resource.busy_until)
-
-    def describe(self) -> str:
-        return "fcfs"
 
 
 class PriorityFCFS(FCFS):
@@ -143,9 +137,6 @@ class PriorityFCFS(FCFS):
         if priority is Priority.BACKGROUND:
             start = max(start, resource.last_fg_finish + self.bg_idle_gap)
         return start
-
-    def describe(self) -> str:
-        return f"priority-fcfs(bg_idle_gap={self.bg_idle_gap})"
 
 
 #: Observer signature: called with each completed :class:`OpRecord`.
@@ -256,11 +247,6 @@ class DiskResource(Resource):
                    priority=priority, tag=tag, submitted=earliest,
                    window=window)
         return window
-
-    @property
-    def utilisation_time(self) -> float:
-        """Busy seconds including fault stalls (the utilisation tally)."""
-        return self.busy_time
 
 
 class SSDResource(Resource):

@@ -1,11 +1,18 @@
-"""The simulation engine: one request pipeline over events + resources.
+"""The timed system: one request pipeline over events + resources.
 
-:class:`SimEngine` is the single place simulated time advances (rule
-RPR009).  Workload drivers (:mod:`repro.sim.openloop`,
-:mod:`repro.sim.closedloop`, :func:`repro.faults.timed.rebuild_under_load`)
-are *sources*: they decide what to submit and when, the engine resolves
-when it finishes.  Cross-cutting behaviour — fault escalation,
-instrumentation — hangs off the hook stack (:mod:`repro.engine.hooks`).
+:class:`SimEngine` is the discrete-event "prototype" path of Section
+IV-B and the single place simulated time advances (rule RPR009): a
+policy decides what each access does, the engine schedules the
+resulting device operations, measures each request's response time and
+summarises a run as a :class:`TimingReport`.  Workload drivers
+(:mod:`repro.sim.openloop`, :mod:`repro.sim.closedloop`,
+:mod:`repro.sim.rebuild`) are *sources*: they decide what to submit and
+when, the engine resolves when it finishes.  Cross-cutting behaviour —
+fault escalation, instrumentation — hangs off the hook stack
+(:mod:`repro.engine.hooks`).  Every resource starts out FCFS; a run
+that wants :class:`~repro.engine.resources.PriorityFCFS` sets
+``discipline`` on the engine's resources (``engine.resources()``)
+before it submits.
 
 Request semantics (Section IV-B of the paper, unchanged from the
 pre-engine implementation):
@@ -35,45 +42,55 @@ global arrival order.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 
 from ..cache.base import CachePolicy, Outcome
-from ..disk.hdd import HDDParams
 from ..errors import ConfigError, SimulationError, raises
-from ..flash.device import SSDLatency
 from ..raid.array import DiskOp
-from ..stats.latency import LatencyRecorder
+from ..stats.latency import LatencyRecorder, LatencySummary
+from ..traces.record import IORequest
 from .core import EventLoop, Priority, RequestRecord
 from .hooks import EngineHook, MemberReadHandler
-from .resources import (
-    DiskResource,
-    QueueDiscipline,
-    Resource,
-    ServiceWindow,
-    SSDResource,
-)
+from .resources import DiskResource, Resource, ServiceWindow, SSDResource
+
+
+@dataclass(frozen=True)
+class TimingReport:
+    """Outcome of one timed run."""
+
+    policy: str
+    workload: str
+    latency: LatencySummary
+    duration: float
+    requests: int
+
+    @property
+    def mean_response_ms(self) -> float:
+        return self.latency.mean_ms
+
+    @property
+    def iops(self) -> float:
+        return self.requests / self.duration if self.duration > 0 else 0.0
+
+    def row(self) -> dict[str, float]:
+        out = {"policy": self.policy, "workload": self.workload}
+        out.update(self.latency.row())
+        out["iops"] = round(self.iops, 1)
+        return out
 
 
 class SimEngine:
     """Discrete-event engine scheduling one policy's device operations."""
 
-    def __init__(
-        self,
-        policy: CachePolicy,
-        hdd_params: HDDParams | None = None,
-        ssd_latency: SSDLatency | None = None,
-        ssd_channels: int = 8,
-        discipline: QueueDiscipline | None = None,
-    ) -> None:
+    def __init__(self, policy: CachePolicy) -> None:
         self.policy = policy
         self.loop = EventLoop()
         page_size = policy.config.page_size
         self.disks = [
-            DiskResource(hdd_params, page_size, name=f"disk{i}",
-                         discipline=discipline)
+            DiskResource(page_size=page_size, name=f"disk{i}")
             for i in range(policy.raid.ndisks)
         ]
-        self.ssd = SSDResource(ssd_latency, channels=ssd_channels,
-                               discipline=discipline)
+        self.ssd = SSDResource()
         self.recorder = LatencyRecorder()
         self.hooks: list[EngineHook] = []
         self._member_read: MemberReadHandler = self._base_member_read
@@ -91,10 +108,6 @@ class SimEngine:
     def resources(self) -> Iterator[Resource]:
         yield from self.disks
         yield self.ssd
-
-    @property
-    def now(self) -> float:
-        return self.loop.now
 
     def add_hook(self, hook: EngineHook) -> None:
         """Install ``hook`` and rebuild the member-read middleware chain.
@@ -236,6 +249,11 @@ class SimEngine:
         return results[0]
 
     @raises(SimulationError)
+    def submit_request(self, req: IORequest) -> float:
+        """:meth:`submit` for one trace request."""
+        return self.submit(req.lba, req.npages, req.is_read, req.time)
+
+    @raises(SimulationError)
     def inject_disk_ops(self, ops: Sequence[DiskOp], at: float) -> float:
         """Schedule external member I/O (e.g. rebuild traffic) at ``at``.
 
@@ -270,3 +288,13 @@ class SimEngine:
         }
         out["ssd"] = min(1.0, self.ssd.busy_time / duration)
         return out
+
+    def report(self, workload: str, duration: float) -> TimingReport:
+        """Summarise every request recorded so far over ``duration``."""
+        return TimingReport(
+            policy=self.policy.name,
+            workload=workload,
+            latency=self.recorder.summary(),
+            duration=duration,
+            requests=len(self.recorder),
+        )

@@ -13,21 +13,31 @@ the parity.  This package makes that window executable:
   fault sweep is byte-identical across ``--jobs`` counts;
 * :class:`RetryPolicy` — bounded retries with deterministic exponential
   backoff, modelled as added latency, then escalation;
-* :class:`FaultyTimedSystem` — the timing simulator with fault hooks on
-  every device, degraded-mode reconstruction reads, and an event log;
 * :class:`Scrubber` — background stripe verification and repair via the
   ``parity_update`` / rewrite interfaces;
-* :func:`demo_event_log` — the scripted vulnerability-window narrative.
+* :func:`demo_event_log` — the scripted vulnerability-window narrative;
+* :func:`run_crash_matrix` — every persistence boundary, crashed and
+  recovered.
 
+The timed fault pipeline — fault streams on every device, degraded-mode
+reconstruction reads, the event log — is an engine hook,
+:class:`repro.engine.FaultPipelineHook`, installed on a
+:class:`repro.engine.SimEngine`; a rebuild under load is the workload
+source :func:`repro.sim.rebuild_under_load`.  This package imports
+neither: the engine imports the schedule and retry policies from here.
 The sweep drivers (``kdd-repro faults``: fault rate x retry policy ->
 degraded-mode response time) live in :mod:`repro.harness.faultsweep` —
 the layering contract keeps simulation code from importing the harness.
 """
 
-from __future__ import annotations
-
-from typing import Any
-
+from .crash import (
+    CRASH_POINT_KINDS,
+    CrashMatrixReport,
+    CrashPointShim,
+    attach_crash_shim,
+    run_crash_matrix,
+)
+from .demo import demo_event_log
 from .retry import RETRY_POLICIES, RetryPolicy, retry_policy
 from .schedule import (
     DeviceFaultStream,
@@ -37,33 +47,7 @@ from .schedule import (
     FaultKind,
     FaultSchedule,
 )
-
-#: Names resolved lazily (PEP 562): these modules import the sim/raid
-#: layers, which themselves import :mod:`repro.faults.schedule` for the
-#: device fault hooks — importing them eagerly here would be circular.
-_LAZY = {
-    "FaultyTimedSystem": "timed",
-    "StaleExposureHook": "timed",
-    "rebuild_under_load": "timed",
-    "Scrubber": "scrubber",
-    "ScrubReport": "scrubber",
-    "demo_event_log": "demo",
-    "CRASH_POINT_KINDS": "crash",
-    "CrashMatrixReport": "crash",
-    "CrashPointShim": "crash",
-    "attach_crash_shim": "crash",
-    "run_crash_matrix": "crash",
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _LAZY:
-        from importlib import import_module
-
-        module = import_module(f".{_LAZY[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .scrubber import Scrubber, ScrubReport
 
 __all__ = [
     "CRASH_POINT_KINDS",
@@ -76,14 +60,11 @@ __all__ = [
     "FaultEvent",
     "FaultKind",
     "FaultSchedule",
-    "FaultyTimedSystem",
     "RetryPolicy",
     "ScrubReport",
     "Scrubber",
-    "StaleExposureHook",
     "attach_crash_shim",
     "demo_event_log",
-    "rebuild_under_load",
     "retry_policy",
     "run_crash_matrix",
 ]

@@ -9,9 +9,9 @@ scenario that needs no harness stays in :mod:`repro.faults.demo`.
 
 :func:`run_faults_cell` is the executor behind the sweep engine's
 ``faults`` cell kind: one (policy, workload, fault-rate, retry-policy)
-point of the grid, run through
-:class:`~repro.faults.timed.FaultyTimedSystem` and summarised as one
-result row.  Determinism inherits from the sweep discipline — the
+point of the grid, replayed on a :class:`~repro.engine.SimEngine` with
+a :class:`~repro.engine.FaultPipelineHook` installed and summarised as
+one result row.  Determinism inherits from the sweep discipline — the
 fault schedule is seeded with the cell's effective seed, so rows are
 byte-identical for any ``--jobs``.
 """
@@ -21,10 +21,14 @@ from __future__ import annotations
 from typing import Any
 
 from ..cache.base import CacheConfig
-from ..engine import InstrumentationHook
+from ..engine import (
+    FaultPipelineHook,
+    InstrumentationHook,
+    SimEngine,
+    StaleExposureHook,
+)
 from ..faults.retry import RETRY_POLICIES, retry_policy
 from ..faults.schedule import FaultConfig
-from ..faults.timed import FaultyTimedSystem, StaleExposureHook
 from ..raid.array import RAIDArray
 from ..raid.layout import RaidLevel
 from ..sim.openloop import replay_trace
@@ -69,12 +73,10 @@ def run_faults_cell(cell: SweepCell, trace: Any) -> dict[str, Any]:
 
     raid = make_raid_for_trace(trace)
     config = CacheConfig(cache_pages=cell.cache_pages, seed=seed, **params)
-    system = FaultyTimedSystem(
-        build_policy(cell.policy, config, raid),
-        faults,
-        retry=retry_policy(retry_name),
-        repair_stale_on_demand=repair_stale,
-    )
+    system = SimEngine(build_policy(cell.policy, config, raid))
+    pipeline = FaultPipelineHook(faults, retry=retry_name,
+                                 repair_stale_on_demand=repair_stale)
+    system.add_hook(pipeline)
     exposure_hook = None
     if track_exposure:
         exposure_hook = StaleExposureHook()
@@ -88,7 +90,7 @@ def run_faults_cell(cell: SweepCell, trace: Any) -> dict[str, Any]:
         "timeout_rate": faults.timeout_rate,
     }
     row.update(rep.row())
-    row.update(system.fault_row())
+    row.update(pipeline.fault_row())
     if exposure_hook is not None:
         # Same nested block as the reliability report (shared shape).
         row["exposure"] = exposure_hook.exposure.row()
@@ -153,13 +155,13 @@ def demo_op_trace(
     """
     raid = RAIDArray(RaidLevel.RAID5, ndisks=5, chunk_pages=4,
                      pages_per_disk=4096)
-    system = FaultyTimedSystem(
+    system = SimEngine(
         build_policy(policy,
                      CacheConfig(cache_pages=128, ways=16, group_pages=16),
-                     raid),
-        FaultConfig(seed=seed, ure_rate=0.01, timeout_rate=0.02),
-        retry="backoff",
-    )
+                     raid))
+    pipeline = FaultPipelineHook(
+        FaultConfig(seed=seed, ure_rate=0.01, timeout_rate=0.02))
+    system.add_hook(pipeline)
     instrument = InstrumentationHook()
     system.add_hook(instrument)
     trace = uniform_workload(requests, 4096, read_ratio=0.6, seed=seed)
@@ -168,5 +170,5 @@ def demo_op_trace(
     summary = instrument.summary(duration=rep.duration)
     summary["ops_written"] = nops
     summary["mean_response_ms"] = rep.latency.mean_ms
-    summary["faults"] = system.fault_row()
+    summary["faults"] = pipeline.fault_row()
     return summary

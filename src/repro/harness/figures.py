@@ -12,9 +12,10 @@ so each one gets process-pool parallelism, cell de-duplication and the
 on-disk result cache for free; with no engine given, a plain serial
 engine is used and the rows are identical to the historical inline
 loops.  The timed cells (``replay`` / ``fio`` / ``faults``) execute on
-the discrete-event engine (:mod:`repro.engine`) via the
-``TimedSystem`` facades; ``tests/test_engine_equivalence.py`` pins
-their numerics to the pre-engine implementation.
+one :class:`repro.engine.SimEngine` each, the ``faults`` cells with a
+:class:`repro.engine.FaultPipelineHook` installed;
+``tests/test_engine_equivalence.py`` pins their numerics to the
+pre-engine implementation.
 
 The index lives in DESIGN.md; EXPERIMENTS.md records paper-vs-measured.
 """

@@ -236,8 +236,8 @@ def _run_sim_cell(cell: SweepCell) -> dict[str, Any]:
 
 def _run_replay_cell(cell: SweepCell) -> dict[str, Any]:
     from ..cache.base import CacheConfig
+    from ..engine import SimEngine
     from ..sim.openloop import replay_trace
-    from ..sim.system import TimedSystem
     from .runner import build_policy, make_raid_for_trace
 
     trace = _trace_for(cell.trace)
@@ -245,7 +245,7 @@ def _run_replay_cell(cell: SweepCell) -> dict[str, Any]:
     raid = make_raid_for_trace(trace)
     config = CacheConfig(cache_pages=cell.cache_pages,
                          seed=cell.effective_seed(), **config_kwargs)
-    system = TimedSystem(build_policy(cell.policy, config, raid))
+    system = SimEngine(build_policy(cell.policy, config, raid))
     rep = replay_trace(system, trace, **replay_kwargs)
     row = {"workload": trace.name, "policy": cell.label or cell.policy}
     row.update(rep.row())
@@ -254,10 +254,10 @@ def _run_replay_cell(cell: SweepCell) -> dict[str, Any]:
 
 def _run_fio_cell(cell: SweepCell) -> dict[str, Any]:
     from ..cache.base import CacheConfig
+    from ..engine import SimEngine
     from ..raid.array import RAIDArray
     from ..raid.layout import RaidLevel
     from ..sim.closedloop import FioConfig, run_closed_loop
-    from ..sim.system import TimedSystem
     from .runner import build_policy
 
     fio_kwargs, config_kwargs = _split_params(cell, _FIO_KEYS)
@@ -271,7 +271,7 @@ def _run_fio_cell(cell: SweepCell) -> dict[str, Any]:
     )
     config = CacheConfig(cache_pages=cell.cache_pages, seed=seed,
                          **config_kwargs)
-    system = TimedSystem(build_policy(cell.policy, config, raid))
+    system = SimEngine(build_policy(cell.policy, config, raid))
     rep = run_closed_loop(system, fio)
     stats = system.policy.stats
     row = {"read_rate": fio.read_rate, "policy": cell.label or cell.policy}

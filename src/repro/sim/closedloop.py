@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import SimEngine, TimingReport
 from ..errors import ConfigError
 from ..traces.synthetic import _zipf_cdf
-from .system import TimedSystem, TimingReport
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,11 @@ class FioConfig:
             raise ConfigError("nthreads and total_requests must be >= 1")
         if self.working_set_pages < 1:
             raise ConfigError("working_set_pages must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def run_closed_loop(system: TimedSystem, config: FioConfig) -> TimingReport:
+def run_closed_loop(system: SimEngine, config: FioConfig) -> TimingReport:
     """Drive ``system`` with ``nthreads`` back-to-back request streams."""
     rng = np.random.default_rng(config.seed)
     cdf = _zipf_cdf(config.working_set_pages, config.zipf_alpha)

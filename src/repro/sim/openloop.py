@@ -7,13 +7,13 @@ when the device pool falls behind the arrival process.
 
 from __future__ import annotations
 
+from ..engine import SimEngine, TimingReport
 from ..errors import ConfigError
 from ..traces.trace import Trace
-from .system import TimedSystem, TimingReport
 
 
 def replay_trace(
-    system: TimedSystem,
+    system: SimEngine,
     trace: Trace,
     max_requests: int | None = None,
     max_seconds: float | None = None,

@@ -15,6 +15,7 @@ Two families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,8 +167,9 @@ class FootprintSpec:
 
     def scaled(self, factor: float) -> "FootprintSpec":
         """Uniformly scale footprint and request counts (for fast runs)."""
-        if factor <= 0:
-            raise ConfigError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise ConfigError(
+                f"scale factor must be positive and finite, got {factor}")
 
         def s(x: int) -> int:
             return max(1, int(round(x * factor)))

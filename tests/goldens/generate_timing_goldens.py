@@ -2,8 +2,8 @@
 
 The event-engine refactor (``repro.engine``) must be behaviour-
 preserving: latency summaries and fault event logs stay numerically
-identical to the pre-refactor ``TimedSystem`` implementation, except for
-the documented ``fg_compute`` critical-path fix, whose (tiny) delta the
+identical to the pre-refactor timing simulator, except for the
+documented ``fg_compute`` critical-path fix, whose (tiny) delta the
 equivalence suite asserts explicitly.
 
 Usage::
@@ -110,10 +110,11 @@ def faults_cells():
 
 
 def faulty_event_log():
-    """One scripted FaultyTimedSystem run: latency + counters + event log
+    """One scripted fault-injected run: latency + counters + event log
     + (legacy) utilisation, covering escalation and device failure."""
     from repro.cache import CacheConfig
-    from repro.faults import FaultConfig, FaultyTimedSystem
+    from repro.engine import FaultPipelineHook, SimEngine
+    from repro.faults import FaultConfig
     from repro.harness.runner import build_policy
     from repro.raid import RAIDArray, RaidLevel
     from repro.sim.openloop import replay_trace
@@ -124,19 +125,20 @@ def faulty_event_log():
     policy = build_policy(
         "wt", CacheConfig(cache_pages=128, ways=16, group_pages=16), raid
     )
-    system = FaultyTimedSystem(
-        policy,
+    system = SimEngine(policy)
+    faults = FaultPipelineHook(
         FaultConfig(seed=11, ure_rate=0.01, timeout_rate=0.02,
                     device_failures=(("disk1", 0.5),)),
         retry="backoff",
     )
+    system.add_hook(faults)
     trace = uniform_workload(400, 4096, read_ratio=0.6, seed=5)
     rep = replay_trace(system, trace)
     return {
         "latency": rep.latency.row(),
         "mean_exact": rep.latency.mean,
-        "fault_row": system.fault_row(),
-        "events": system.schedule.event_rows(),
+        "fault_row": faults.fault_row(),
+        "events": faults.schedule.event_rows(),
         "utilisation": system.utilisation(10.0),
     }
 
@@ -144,9 +146,11 @@ def faulty_event_log():
 def rebuild_golden():
     """rebuild_under_load: rebuild finish time and foreground latency."""
     from repro.cache import CacheConfig
-    from repro.faults import FaultConfig, FaultyTimedSystem, rebuild_under_load
+    from repro.engine import FaultPipelineHook, SimEngine
+    from repro.faults import FaultConfig
     from repro.harness.runner import build_policy
     from repro.raid import RAIDArray, RaidLevel
+    from repro.sim import rebuild_under_load
     from repro.traces import uniform_workload
 
     raid = RAIDArray(RaidLevel.RAID5, ndisks=5, chunk_pages=4,
@@ -154,7 +158,8 @@ def rebuild_golden():
     policy = build_policy(
         "wt", CacheConfig(cache_pages=64, ways=16, group_pages=16), raid
     )
-    system = FaultyTimedSystem(policy, FaultConfig(seed=3))
+    system = SimEngine(policy)
+    system.add_hook(FaultPipelineHook(FaultConfig(seed=3)))
     raid.fail_disk(1)
     reqs = list(uniform_workload(50, 1024, seed=4))
     report, done = rebuild_under_load(system, 1, iter(reqs), batch_stripes=2)

@@ -313,9 +313,9 @@ class TestRealTreeEscalationProof:
             {"SimulationError"}
         assert declared["repro.engine.system:SimEngine.submit"] == \
             {"SimulationError"}
-        assert declared["repro.sim.system:TimedSystem.submit"] == \
+        assert declared["repro.engine.system:SimEngine.submit_request"] == \
             {"SimulationError"}
-        assert declared["repro.faults.timed:rebuild_under_load"] == \
+        assert declared["repro.sim.rebuild:rebuild_under_load"] == \
             {"DegradedError"}
         assert declared["repro.faults.demo:demo_event_log"] == {"RaidError"}
 

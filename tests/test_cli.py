@@ -76,6 +76,11 @@ class TestSimulateCommand:
             assert capsys.readouterr().err.startswith(
                 f"kdd-repro simulate: {message}"), (flag, value)
 
+    def test_simulate_negative_seed_exits_2(self, capsys):
+        assert cli_main(["simulate", "kdd", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "kdd-repro simulate: seed must be >= 0, got -1\n"
+
     def test_simulate_compression_flag(self, capsys):
         rc = cli_main([
             "simulate", "kdd", "--workload", "Fin2", "--scale", "0.001",
@@ -95,12 +100,21 @@ class TestRunCommand:
 
     def test_negative_scale_exits_2(self, capsys):
         for figure in ("fig5", "table1", "all"):
-            for scale in ("-1", "0"):
+            for scale in ("-1", "0", "nan", "inf"):
                 assert cli_main(["run", figure, "--scale", scale]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith(
                     "kdd-repro run: scale factor must be positive"), \
                     (figure, scale, err)
+        assert cli_main(["simulate", "wt", "--scale", "nan"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "kdd-repro simulate: scale factor must be positive")
+
+    def test_negative_seed_exits_2(self, capsys):
+        rc = cli_main(["run", "fig5", "--seed", "-1", "--scale", "0.001"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "kdd-repro run: seed must be >= 0, got -1\n"
 
     def test_bench_is_not_a_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

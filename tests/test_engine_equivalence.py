@@ -3,7 +3,8 @@
 ``tests/goldens/timing_goldens.json`` holds two stages:
 
 * ``pre``  — captured once on the pre-refactor tree (ad-hoc clocks in
-  ``TimedSystem`` / ``FaultyTimedSystem``); committed, never regenerated.
+  the timing simulator and its fault-injecting subclass); committed,
+  never regenerated.
 * ``post`` — the same cells on the engine-backed tree.
 
 The refactor is behaviour-preserving up to three *documented* fixes,

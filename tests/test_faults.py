@@ -8,11 +8,16 @@ the scrubber, rebuild-under-load, the sweep-engine ``faults`` cell kind
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cache import CacheConfig
 from repro.disk.hdd import HDDParams
+from repro.engine import FaultPipelineHook, SimEngine
 from repro.engine.resources import DiskResource, SSDResource
 from repro.errors import ConfigError, DegradedError, FaultError, MediaError
 from repro.faults import (
@@ -21,12 +26,10 @@ from repro.faults import (
     FaultCounters,
     FaultKind,
     FaultSchedule,
-    FaultyTimedSystem,
     RETRY_POLICIES,
     RetryPolicy,
     Scrubber,
     demo_event_log,
-    rebuild_under_load,
     retry_policy,
 )
 from repro.harness.cli import main as cli_main
@@ -34,6 +37,7 @@ from repro.harness.faultsweep import faults_cell
 from repro.harness.runner import build_policy
 from repro.harness.sweep import SweepEngine, trace_desc
 from repro.raid import RAIDArray, RaidLevel, rebuild_disk
+from repro.sim import rebuild_under_load
 from repro.traces import uniform_workload
 
 
@@ -48,7 +52,10 @@ def make_timed(policy="wt", fault_config=None, cache_pages=64, **kw):
     raid = make_array()
     p = build_policy(policy, CacheConfig(cache_pages=cache_pages, ways=16,
                                          group_pages=16), raid)
-    return raid, FaultyTimedSystem(p, fault_config or FaultConfig(), **kw)
+    system = SimEngine(p)
+    faults = FaultPipelineHook(fault_config, **kw)
+    system.add_hook(faults)
+    return raid, system, faults
 
 
 # ---------------------------------------------------------------- schedule
@@ -299,70 +306,72 @@ class TestArrayMediaErrors:
 class TestFaultyTimedSystem:
     def test_run_is_deterministic(self):
         def run():
-            raid, system = make_timed(
+            _, system, faults = make_timed(
                 "kdd", FaultConfig(seed=7, ure_rate=0.02, timeout_rate=0.02))
             for req in uniform_workload(300, 4096, seed=3):
                 system.submit_request(req)
-            return (system.fault_row(), system.schedule.event_rows(),
+            return (faults.fault_row(), faults.schedule.event_rows(),
                     system.recorder.summary().mean_ms)
 
         assert run() == run()
 
     def test_ure_reconstructs_and_repairs(self):
-        raid, system = make_timed("wt", FaultConfig(seed=0, ure_rate=1.0))
+        raid, system, faults = make_timed("wt",
+                                          FaultConfig(seed=0, ure_rate=1.0))
         system.submit(0, 1, True, 0.0)
-        assert system.counters.ures == 1
-        assert system.counters.reconstructions == 1
-        assert system.counters.repairs == 1
+        assert faults.counters.ures == 1
+        assert faults.counters.reconstructions == 1
+        assert faults.counters.repairs == 1
         assert not raid.media_errors  # background repair cleared it
-        kinds = [e.kind for e in system.schedule.events]
+        kinds = [e.kind for e in faults.schedule.events]
         assert kinds == ["ure", "media_repair"]
 
     def test_stale_stripe_escalates_then_repairs_on_demand(self):
-        raid, system = make_timed("wt", FaultConfig(seed=0, ure_rate=1.0))
+        raid, system, faults = make_timed("wt",
+                                          FaultConfig(seed=0, ure_rate=1.0))
         raid.write_without_parity_update(0)
         system.submit(1, 1, True, 0.0)  # sibling of the stale write
-        assert system.counters.stale_escalations == 1
+        assert faults.counters.stale_escalations == 1
         assert 0 not in raid.stale_stripes
-        kinds = [e.kind for e in system.schedule.events]
+        kinds = [e.kind for e in faults.schedule.events]
         assert kinds == ["ure", "stale_escalation", "parity_repair",
                         "media_repair"]
 
     def test_strict_mode_propagates_degraded_error(self):
-        raid, system = make_timed("wt", FaultConfig(seed=0, ure_rate=1.0),
-                                  repair_stale_on_demand=False)
+        raid, system, _ = make_timed("wt", FaultConfig(seed=0, ure_rate=1.0),
+                                     repair_stale_on_demand=False)
         raid.write_without_parity_update(0)
         with pytest.raises(DegradedError):
             system.submit(1, 1, True, 0.0)
 
     def test_timeout_without_retry_escalates_to_peers(self):
-        raid, system = make_timed(
+        raid, system, faults = make_timed(
             "wt", FaultConfig(seed=0, timeout_rate=1.0), retry="none")
         system.submit(0, 1, True, 0.0)
-        assert system.counters.timeouts >= 1
-        assert system.counters.reconstructions >= 1
+        assert faults.counters.timeouts >= 1
+        assert faults.counters.reconstructions >= 1
 
     def test_retries_absorb_transients(self):
-        _, system = make_timed(
+        _, system, faults = make_timed(
             "wt", FaultConfig(seed=5, timeout_rate=0.3), retry="backoff")
         for req in uniform_workload(100, 4096, seed=1):
             system.submit_request(req)
-        assert system.counters.retries > 0
+        assert faults.counters.retries > 0
 
     def test_scheduled_device_failure_strikes_once(self):
-        raid, system = make_timed(
+        raid, system, faults = make_timed(
             "kdd", FaultConfig(seed=1, device_failures=(("disk2", 0.05),)))
         for req in uniform_workload(200, 4096, seed=2):
             system.submit_request(req)
         assert 2 in raid.failed_disks
-        assert system.counters.device_failures == 1
-        fails = [e for e in system.schedule.events if e.kind == "device_fail"]
+        assert faults.counters.device_failures == 1
+        fails = [e for e in faults.schedule.events if e.kind == "device_fail"]
         assert len(fails) == 1 and fails[0].device == "disk2"
 
     def test_kdd_suspends_delayed_parity_while_degraded(self):
         """Once a member is lost, further write hits must not widen the
         vulnerability window: no new stale stripes may appear."""
-        raid, system = make_timed(
+        raid, system, _ = make_timed(
             "kdd", FaultConfig(seed=1, device_failures=(("disk1", 0.0),)))
         for req in uniform_workload(200, 4096, read_ratio=0.2, seed=4):
             system.submit_request(req)
@@ -370,11 +379,11 @@ class TestFaultyTimedSystem:
         assert not raid.stale_stripes
 
     def test_ssd_timeouts_are_waited_out(self):
-        _, system = make_timed(
+        _, system, faults = make_timed(
             "wt", FaultConfig(seed=2, timeout_rate=0.5), retry="none")
         for req in uniform_workload(60, 4096, read_ratio=1.0, seed=6):
             system.submit_request(req)
-        ssd_events = [e for e in system.schedule.events if e.device == "ssd"]
+        ssd_events = [e for e in faults.schedule.events if e.device == "ssd"]
         assert ssd_events, "cache commands should time out at rate 0.5"
 
 
@@ -458,7 +467,8 @@ class TestRebuildReport:
         raid = make_array(pages_per_disk=256)
         policy = build_policy("wt", CacheConfig(cache_pages=64, ways=16,
                                                 group_pages=16), raid)
-        system = FaultyTimedSystem(policy, FaultConfig(seed=3))
+        system = SimEngine(policy)
+        system.add_hook(FaultPipelineHook(FaultConfig(seed=3)))
         reqs = list(uniform_workload(50, 1024, seed=4))
         raid.fail_disk(1)
         report, done = rebuild_under_load(system, 1, iter(reqs),
@@ -568,3 +578,24 @@ class TestDemoEventLog:
         # act 3: parity repair closes the window
         assert kinds[window + 1:] == ["parity_repair", "reconstruction",
                                       "media_repair"]
+
+
+# ---------------------------------------------------------------- package
+
+
+def test_package_imports_no_engine_or_sim_module():
+    """``repro.faults`` sits below the timed system: the engine imports
+    its schedule and retry policies, never the other way round."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, repro.faults\n"
+        "for name in repro.faults.__all__:\n"
+        "    getattr(repro.faults, name)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.engine', 'repro.sim'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -229,7 +229,7 @@ def test_rpr004_set_binding_is_scoped_per_function(codes):
 )
 def test_rpr005_triggers_in_scoped_dirs(snippet, codes):
     assert codes(snippet, relpath="stats/latency.py") == ["RPR005"]
-    assert codes(snippet, relpath="sim/system.py") == ["RPR005"]
+    assert codes(snippet, relpath="sim/openloop.py") == ["RPR005"]
 
 
 def test_rpr005_scoped_out_elsewhere(codes):
@@ -325,7 +325,7 @@ def test_rpr008_clean(snippet, codes):
 def test_rpr008_fires_everywhere_in_the_library(codes):
     snippet = "try:\n    f()\nexcept Exception:\n    pass\n"
     for where in ("harness/sweep.py", "devtools/analyze/cli.py",
-                  "faults/timed.py", "traces/trace.py"):
+                  "faults/scrubber.py", "traces/trace.py"):
         assert "RPR008" in codes(snippet, relpath=where), where
 
 
@@ -343,7 +343,7 @@ def test_rpr008_fires_everywhere_in_the_library(codes):
     ],
 )
 def test_rpr009_triggers(snippet, codes):
-    assert "RPR009" in codes(snippet, relpath="sim/system.py")
+    assert "RPR009" in codes(snippet, relpath="sim/openloop.py")
 
 
 @pytest.mark.parametrize(
@@ -358,13 +358,13 @@ def test_rpr009_triggers(snippet, codes):
     ],
 )
 def test_rpr009_clean(snippet, codes):
-    assert "RPR009" not in codes(snippet, relpath="sim/system.py")
+    assert "RPR009" not in codes(snippet, relpath="sim/openloop.py")
 
 
 def test_rpr009_exempts_the_engine_package(codes):
     snippet = "resource.busy_until = finish\nstart = max(earliest, b)\n"
     assert "RPR009" not in codes(snippet, relpath="engine/resources.py")
-    assert "RPR009" in codes(snippet, relpath="faults/timed.py")
+    assert "RPR009" in codes(snippet, relpath="faults/scrubber.py")
 
 
 # ---------------------------------------------------------------- suppressions

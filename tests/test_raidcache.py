@@ -105,16 +105,17 @@ class TestCostComparisonWithKdd:
     def test_mwb_latency_beats_kdd(self):
         """What the mirrored cache buys: write-back latency (no RAID on
         the write path) — the axis where it wins."""
-        from repro.sim import FioConfig, TimedSystem, run_closed_loop
-        from repro.harness import build_policy
         from repro.cache import CacheConfig
+        from repro.engine import SimEngine
+        from repro.harness import build_policy
+        from repro.sim import FioConfig, run_closed_loop
 
         def mean_ms(policy):
             raid = RAIDArray(RaidLevel.RAID5, ndisks=5, chunk_pages=16,
                              pages_per_disk=1 << 16)
             p = build_policy(policy, CacheConfig(cache_pages=8192, seed=1), raid)
             rep = run_closed_loop(
-                TimedSystem(p),
+                SimEngine(p),
                 FioConfig(total_requests=600, working_set_pages=4000,
                           read_rate=0.0, nthreads=4, seed=2),
             )

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.cache import CacheConfig
+from repro.engine import SimEngine
 from repro.errors import ConfigError
 from repro.harness import build_policy, make_raid_for_trace
 from repro.raid import RAIDArray, RaidLevel
-from repro.sim import FioConfig, TimedSystem, replay_trace, run_closed_loop
+from repro.sim import FioConfig, replay_trace, run_closed_loop
 from repro.traces import uniform_workload, zipf_workload
 
 
@@ -15,7 +16,7 @@ def make_system(policy_name="wt", cache_pages=256, ndisks=5, **cfg_kw):
                      pages_per_disk=1 << 16)
     cfg = CacheConfig(cache_pages=cache_pages, **cfg_kw)
     policy = build_policy(policy_name, cfg, raid)
-    return TimedSystem(policy)
+    return SimEngine(policy)
 
 
 class TestTimedSystem:
@@ -126,6 +127,10 @@ class TestClosedLoop:
     def test_read_rate_bounds(self):
         with pytest.raises(ConfigError):
             FioConfig(read_rate=1.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            FioConfig(seed=-1)
 
     def test_kdd_beats_wt_on_write_heavy(self):
         """Figure 10's shape at read rate 0."""

@@ -3,16 +3,17 @@
 import pytest
 
 from repro.cache import CacheConfig
+from repro.engine import SimEngine
 from repro.errors import ConfigError
 from repro.harness import build_policy
 from repro.raid import RAIDArray, RaidLevel
-from repro.sim import FioConfig, TimedSystem, run_closed_loop
+from repro.sim import FioConfig, run_closed_loop
 
 
 def make_system(policy="nossd", ndisks=5):
     raid = RAIDArray(RaidLevel.RAID5, ndisks=ndisks, chunk_pages=4,
                      pages_per_disk=1 << 16)
-    return TimedSystem(build_policy(policy, CacheConfig(cache_pages=256), raid))
+    return SimEngine(build_policy(policy, CacheConfig(cache_pages=256), raid))
 
 
 def test_utilisation_between_zero_and_one():
