@@ -22,7 +22,7 @@ RPR104     flow-sensitive unit taint (bytes/pages/ms/seconds mixing)
 RPR105     RNG stream flows into more than one owner
 RPR106     RNG stream constructed with module-global lifetime
 RPR107     reachable taxonomy raise missing from a declared contract
-RPR108     raising public sim/engine/faults entry point lacks contract
+RPR108     raising public sim/engine/faults/serve entry point lacks contract
 RPR109     imported name never used
 RPR110     dead public symbol
 RPR111     serve-layer RNG stream seed is not sha256-derived

@@ -513,28 +513,17 @@ class _FunctionCols:
 
     # -- calls ---------------------------------------------------------------
 
-    def _np_name(self, expr: ast.expr) -> str | None:
-        """``np.foo`` -> ``"foo"`` when ``np`` is the numpy module."""
-        if isinstance(expr, ast.Attribute) and isinstance(
-            expr.value, ast.Name
-        ):
-            binding = self.mod.bindings.get(expr.value.id)
-            if (
-                binding is not None
-                and binding.symbol == ""
-                and binding.module == "numpy"
-            ):
-                return expr.attr
-        return None
-
     def _dtype_of(self, expr: ast.expr | None) -> str | None:
         """Canonical dtype named by a ``dtype=`` argument expression."""
         if expr is None:
             return None
         name: str | None = None
         if isinstance(expr, ast.Attribute):
-            name = self._np_name(expr)
-            if name == "bool_":
+            module, _, name = (self.analysis.project.external_name(
+                self.mod, expr) or "").rpartition(".")
+            if module != "numpy":
+                name = None
+            elif name == "bool_":
                 name = "bool"
         elif isinstance(expr, ast.Constant) and isinstance(expr.value, str):
             name = expr.value
@@ -551,9 +540,10 @@ class _FunctionCols:
         return None
 
     def _call_col(self, call: ast.Call) -> Col:
-        np_func = self._np_name(call.func)
-        if np_func is not None:
-            return self._np_call_col(call, np_func)
+        module, _, name = (self.analysis.project.external_name(
+            self.mod, call.func) or "").rpartition(".")
+        if module == "numpy":
+            return self._np_call_col(call, name)
         if isinstance(call.func, ast.Attribute):
             return self._method_col(call, call.func)
         # Plain-name calls: builtins, then resolved project functions.
@@ -566,14 +556,11 @@ class _FunctionCols:
             if name in ("list", "sorted", "tuple"):
                 inner = self.col_of(call.args[0]) if call.args else UNKNOWN
                 return Col(index=inner.index)
-        callee = self.analysis.resolve_call(self.mod, self.func, call)
         for arg in call.args:
             self.col_of(arg)
         for kw in call.keywords:
             self.col_of(kw.value)
-        if callee is not None:
-            return self._project_call_col(call, callee)
-        return UNKNOWN
+        return self._project_call_col(call)
 
     def _np_call_col(self, call: ast.Call, name: str) -> Col:
         for arg in call.args:
@@ -747,44 +734,32 @@ class _FunctionCols:
             return Col(dtype=dtype, array=arr)
         for kw in call.keywords:
             self.col_of(kw.value)
-        callee = self.analysis.resolve_call(self.mod, self.func, call)
-        if callee is not None:
-            return self._project_call_col(call, callee)
-        return UNKNOWN
+        return self._project_call_col(call)
 
-    def _project_call_col(self, call: ast.Call, callee: str) -> Col:
-        func = self.analysis.project.functions.get(callee)
-        decl = self.analysis.decls.get(callee)
-        if func is None:
-            return UNKNOWN
-        if decl is not None:
-            self._check_call_args(call, func, decl)
-            if decl.ret is not None:
-                return decl.ret.to_col()
-        returns = func.node.returns
-        if isinstance(returns, ast.Attribute) and returns.attr == "ndarray":
-            return Col(array=True)
-        return UNKNOWN
-
-    def _call_params(self, func: FuncInfo) -> list[str]:
-        args = func.node.args
-        params = [a.arg for a in [*args.posonlyargs, *args.args]]
-        if func.class_name and params and params[0] in ("self", "cls"):
-            params = params[1:]
-        return params
+    def _project_call_col(self, call: ast.Call) -> Col:
+        """Check a call against its callees' declarations and type its
+        result (merged by agreement when it has several callees)."""
+        result: Col | None = None
+        for callee in self.analysis.project.callees(self.func, call):
+            func = self.analysis.project.functions[callee]
+            decl = self.analysis.decls.get(callee)
+            if decl is not None:
+                self._check_call_args(call, func, decl)
+            col = UNKNOWN
+            if decl is not None and decl.ret is not None:
+                col = decl.ret.to_col()
+            elif isinstance(func.node.returns, ast.Attribute) and \
+                    func.node.returns.attr == "ndarray":
+                col = Col(array=True)
+            result = col if result is None else _merge_col(result, col)
+        return UNKNOWN if result is None else result
 
     def _check_call_args(
         self, call: ast.Call, func: FuncInfo, decl: Decl
     ) -> None:
         if self.analysis.silent:
             return
-        params = self._call_params(func)
-        by_param: dict[str, ast.expr] = {}
-        for param, arg in zip(params, call.args):
-            by_param[param] = arg
-        for kw in call.keywords:
-            if kw.arg is not None and kw.arg in params:
-                by_param[kw.arg] = kw.value
+        by_param = self.analysis.project.bind_args(func.id, call)
         for param, arg in sorted(by_param.items()):
             spec = decl.params.get(param)
             if spec is None:
@@ -998,14 +973,15 @@ class _FunctionCols:
         col = self.col_of(value)
         elem_cols: list[Col] | None = None
         if isinstance(value, ast.Call):
-            callee = self.analysis.resolve_call(self.mod, self.func, value)
-            decl = self.analysis.decls.get(callee) if callee else None
-            if (
-                decl is not None
-                and decl.ret is not None
-                and decl.ret.elements is not None
-            ):
-                elem_cols = [spec.to_col() for spec in decl.ret.elements]
+            for callee in self.analysis.project.callees(self.func, value):
+                decl = self.analysis.decls.get(callee)
+                if (
+                    decl is not None
+                    and decl.ret is not None
+                    and decl.ret.elements is not None
+                ):
+                    elem_cols = [spec.to_col() for spec in decl.ret.elements]
+                    break
         for target in targets:
             self._assign(target, col, value, stmt, elem_cols)
 
@@ -1279,48 +1255,6 @@ class ColumnarAnalysis:
         finally:
             self.silent = False
         return out
-
-    # -- call resolution -----------------------------------------------------
-
-    def resolve_call(
-        self, mod: ModuleInfo, func: FuncInfo, call: ast.Call
-    ) -> str | None:
-        """Resolve a call to a project function id, including methods."""
-        expr = call.func
-        if isinstance(expr, ast.Attribute):
-            base = expr.value
-            class_id: str | None = None
-            if isinstance(base, ast.Name) and base.id == "self" \
-                    and func.class_name:
-                class_id = f"{mod.name}:{func.class_name}"
-            elif isinstance(base, ast.Name):
-                # A parameter annotated with a project class type.
-                args = func.node.args
-                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-                    if arg.arg == base.id and arg.annotation is not None:
-                        cls = self.project.resolve_class_expr(
-                            mod, arg.annotation
-                        )
-                        if cls is not None:
-                            class_id = cls.id
-                        break
-            elif (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "self"
-                and func.class_name
-            ):
-                owner = self.project.classes.get(
-                    f"{mod.name}:{func.class_name}"
-                )
-                if owner is not None:
-                    class_id = owner.attr_classes.get(base.attr)
-            if class_id is not None:
-                method = self.project.find_method(class_id, expr.attr)
-                if method is not None:
-                    return method.id
-            return self.project.resolve_func_expr(mod, expr)
-        return self.project.resolve_func_expr(mod, expr)
 
     # -- the pass ------------------------------------------------------------
 

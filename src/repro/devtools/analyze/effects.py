@@ -14,14 +14,10 @@ the functions it calls, and enforces two contract families on top:
   images); a recovery path that consults live volatile state only
   looks correct until a real power loss.
 
-Soundness note: like the exception-flow analysis, the resolver covers
-module functions, ``self.m()`` through the defining class,
-construction-tracked ``self.attr.m()`` (also through a plain local
-alias ``x = self.attr``), locals constructed from a project class, and
-``super().m()`` with a single project base.  Mutating calls on module
-state fall back to a method-name heuristic (:data:`MUTATING_METHODS`).
-The analysis is useful, not complete — the fixtures in the test suite
-pin exactly what each rule proves.
+Reachability follows :meth:`Project.callees
+<repro.devtools.analyze.project.Project.callees>`, the analyzer's one
+call model.  Mutating calls on module state fall back to a method-name
+heuristic (:data:`MUTATING_METHODS`).
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ MUTATING_METHODS = frozenset({
 })
 
 #: functools caching decorators (per-process state by construction).
-CACHE_DECORATORS = frozenset({"cache", "lru_cache"})
+CACHE_DECORATORS = frozenset({"functools.cache", "functools.lru_cache"})
 
 #: The power-failure recovery entry point (RPR207).  Its whole-program
 #: *read* closure must stay inside the declared crash-surviving
@@ -153,18 +149,14 @@ class _FuncVisitor:
         self.project = project
         self.func = func
         self.mod: ModuleInfo = project.modules[func.module]
-        self.class_id = (
-            f"{func.module}:{func.class_name}" if func.class_name else ""
-        )
         self.eff = FuncEffects()
         self.nodes = _shallow_walk(func.node)
         self._collect_scopes()
-        self._collect_bindings()
         self._collect_decorators()
         for node in self.nodes:
             self._visit(node)
 
-    # -- scope and binding maps ----------------------------------------------
+    # -- scope maps ----------------------------------------------------------
 
     def _collect_scopes(self) -> None:
         self.globals_decl: set[str] = set()
@@ -189,60 +181,13 @@ class _FuncVisitor:
                 self.locals.add(node.name)
         self.locals -= self.globals_decl
 
-    def _collect_bindings(self) -> None:
-        """Locals whose class a call through them resolves against."""
-        #: locals bound to a ``self`` attribute (``x = self.attr``).
-        self.aliases: dict[str, str] = {}
-        #: locals constructed from a project class (``v = Cls(); v.m()``).
-        self.local_classes: dict[str, str] = {}
-        for node in self.nodes:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                    isinstance(node.targets[0], ast.Name):
-                target, value = node.targets[0].id, node.value
-                if isinstance(value, ast.Call):
-                    cls = self.project.resolve_class_expr(self.mod, value.func)
-                    if cls is not None:
-                        self.local_classes.setdefault(target, cls.id)
-            elif isinstance(node, ast.NamedExpr) and \
-                    isinstance(node.target, ast.Name):
-                target, value = node.target.id, node.value
-            else:
-                continue
-            root = self._self_attr_of(value)
-            if root is not None:
-                self.aliases.setdefault(target, root)
-
-    def _self_attr_of(self, value: ast.expr) -> str | None:
-        """The attribute a value is, when it is ``self.attr`` or an alias."""
-        if isinstance(value, ast.Name):
-            return self.aliases.get(value.id)
-        if isinstance(value, ast.Attribute) and self.class_id and \
-                isinstance(value.value, ast.Name) and value.value.id == "self":
-            return value.attr
-        return None
-
     def _collect_decorators(self) -> None:
         for dec in self.func.node.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
-            name = self._cache_decorator_name(target)
-            if name is not None:
+            name = self.project.external_name(self.mod, target)
+            if name in CACHE_DECORATORS:
                 self.eff.cache_decorators.append(
-                    (name, dec.lineno, dec.col_offset))
-
-    def _cache_decorator_name(self, target: ast.expr) -> str | None:
-        if isinstance(target, ast.Name):
-            binding = self.mod.bindings.get(target.id)
-            if binding is not None and binding.module == "functools" and \
-                    binding.symbol in CACHE_DECORATORS:
-                return binding.symbol
-        if isinstance(target, ast.Attribute) and \
-                isinstance(target.value, ast.Name) and \
-                target.attr in CACHE_DECORATORS:
-            binding = self.mod.bindings.get(target.value.id)
-            if binding is not None and binding.module == "functools" and \
-                    binding.symbol == "":
-                return target.attr
-        return None
+                    (name.rsplit(".", 1)[1], dec.lineno, dec.col_offset))
 
     # -- node dispatch -------------------------------------------------------
 
@@ -261,16 +206,6 @@ class _FuncVisitor:
             self._handle_call(node)
 
     # -- write targets -------------------------------------------------------
-
-    def _attr_class_of(self, attr: str) -> str:
-        """Construction-tracked class of ``self.<attr>`` ("" if unknown)."""
-        if not self.class_id:
-            return ""
-        for cid in self.project.class_mro(self.class_id):
-            found = self.project.classes[cid].attr_classes.get(attr)
-            if found is not None:
-                return found
-        return ""
 
     def _module_state_desc(self, name: str, parts: list[str]) -> str | None:
         resolved = self.project._chase(self.mod.name, name)
@@ -318,7 +253,7 @@ class _FuncVisitor:
     # -- calls ---------------------------------------------------------------
 
     def _handle_call(self, call: ast.Call) -> None:
-        self.eff.callees.extend(self._static_callees(call))
+        self.eff.callees.extend(self.project.callees(self.func, call))
         func = call.func
         if not isinstance(func, ast.Attribute) or \
                 func.attr not in MUTATING_METHODS:
@@ -329,53 +264,6 @@ class _FuncVisitor:
             if desc is not None:
                 self.eff.global_mutations.append(
                     (desc, call.lineno, call.col_offset))
-
-    def _static_callees(self, call: ast.Call) -> list[str]:
-        """Resolved call targets, for the reachability graph."""
-        project = self.project
-        resolved = project.resolve_func_expr(self.mod, call.func)
-        if resolved is not None:
-            if resolved in project.functions:
-                return [resolved]
-            if resolved in project.classes:
-                out = []
-                for name in ("__init__", "__post_init__"):
-                    method = project.find_method(resolved, name)
-                    if method is not None:
-                        out.append(method.id)
-                return out
-            return []
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return []
-        node, parts = _chain(func.value)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "super" and not parts and self.class_id:
-            bases = project.classes[self.class_id].bases
-            if len(bases) == 1:
-                method = project.find_method(bases[0], func.attr)
-                if method is not None:
-                    return [method.id]
-            return []
-        if not isinstance(node, ast.Name):
-            return []
-        receivers: list[str] = []
-        if not parts:
-            if node.id == "self" and self.class_id:
-                receivers.append(self.class_id)
-            if node.id in self.local_classes:
-                receivers.append(self.local_classes[node.id])
-            if node.id in self.aliases:
-                receivers.append(self._attr_class_of(self.aliases[node.id]))
-        elif node.id == "self" and len(parts) == 1 and self.class_id:
-            receivers.append(self._attr_class_of(parts[0]))
-        out = []
-        for receiver in receivers:
-            method = project.find_method(receiver, func.attr) \
-                if receiver else None
-            if method is not None:
-                out.append(method.id)
-        return out
 
 
 # -- interprocedural analysis ------------------------------------------------
@@ -437,13 +325,6 @@ class EffectAnalysis:
 
     def _mod_of(self, func: FuncInfo) -> ModuleInfo:
         return self.project.modules[func.module]
-
-    def _attr_class_in(self, class_id: str, attr: str) -> str:
-        for cid in self.project.class_mro(class_id):
-            found = self.project.classes[cid].attr_classes.get(attr)
-            if found is not None:
-                return found
-        return ""
 
     # -- recovery read-surface (RPR207) --------------------------------------
 
@@ -513,7 +394,7 @@ class EffectAnalysis:
                 f"{', '.join(sorted(allowed)) or 'none'})",
             ))
             return
-        attr_cls = self._attr_class_in(class_id, name)
+        attr_cls = self.project.attr_class(class_id, name)
         rest = parts[1:]
         if attr_cls and rest:
             self._recovery_walk(attr_cls, rest, mod, line, col,

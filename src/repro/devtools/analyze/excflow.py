@@ -4,7 +4,7 @@ Computes, for every project function, the set of ``repro.errors``
 taxonomy classes it *may raise* — a fixpoint over the project call
 graph with structured ``try``/``except`` evaluation — and checks the
 public entry points of the simulation layers (``sim``, ``engine``,
-``faults``) against their declared :func:`repro.errors.raises`
+``faults``, ``serve``) against their declared :func:`repro.errors.raises`
 contracts:
 
 * **RPR107** — a reachable taxonomy raise is missing from the entry
@@ -20,22 +20,17 @@ entirely and never needs declaring.  Dunder methods are exempt from
 RPR108 (an ``__init__`` is not an entry point), though a dunder that
 *declares* a contract is still held to it.
 
-Soundness note: calls the analysis cannot resolve (duck-typed
-callables, external libraries) contribute nothing to may-raise sets.
-The resolver covers module functions, imported names, ``self.m()``,
-construction-tracked ``self.attr.m()`` and local ``v = Cls(); v.m()``
-receivers, ``super().m()`` with a single project base, and class
-construction (``__init__``/``__post_init__``).  That is enough to make
-the sets *useful* (they catch real escalation-chain gaps, see the
-FaultPipelineHook proof in tests) without pretending to be complete.
+Calls are resolved by :meth:`Project.callees
+<repro.devtools.analyze.project.Project.callees>`, the analyzer's one
+call model (its docstring lists the receiver shapes it types); a call
+it cannot resolve contributes nothing to a may-raise set.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 
-from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
+from .project import Finding, FuncInfo, Project, finding_at
 
 ERRORS_MODULE = "repro.errors"
 ROOT_ERROR = f"{ERRORS_MODULE}:ReproError"
@@ -46,16 +41,6 @@ RAISES_DECORATOR = f"{ERRORS_MODULE}:raises"
 ENTRY_PACKAGES = frozenset({"sim", "engine", "faults", "serve"})
 
 _MAX_ITERATIONS = 50
-
-
-@dataclass
-class _FuncCtx:
-    """Resolution context for one function body."""
-
-    mod: ModuleInfo
-    func: FuncInfo
-    class_id: str = ""
-    local_classes: dict[str, str] = field(default_factory=dict)
 
 
 class ExceptionFlow:
@@ -98,88 +83,28 @@ class ExceptionFlow:
                         declared.add(cls.id)
                 self.declared[func.id] = declared
 
-    # -- call/raise resolution -----------------------------------------------
+    # -- raise resolution ----------------------------------------------------
 
-    def _make_ctx(self, func: FuncInfo) -> _FuncCtx:
-        mod = self.project.modules[func.module]
-        class_id = f"{func.module}:{func.class_name}" if func.class_name else ""
-        ctx = _FuncCtx(mod=mod, func=func, class_id=class_id)
-        for node in ast.walk(func.node):
-            if isinstance(node, ast.Assign) and \
-                    isinstance(node.value, ast.Call):
-                cls = self.project.resolve_class_expr(mod, node.value.func)
-                if cls is None:
-                    continue
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        ctx.local_classes.setdefault(tgt.id, cls.id)
-        return ctx
-
-    def _callees(self, ctx: _FuncCtx, call: ast.Call) -> list[str]:
-        project = self.project
-        resolved = project.resolve_func_expr(ctx.mod, call.func)
-        if resolved is not None:
-            if resolved in project.functions:
-                return [resolved]
-            if resolved in project.classes:
-                out = []
-                for name in ("__init__", "__post_init__"):
-                    method = project.find_method(resolved, name)
-                    if method is not None:
-                        out.append(method.id)
-                return out
-            return []
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return []
-        base = func.value
-        if isinstance(base, ast.Name):
-            receiver = ""
-            if base.id == "self" and ctx.class_id:
-                receiver = ctx.class_id
-            elif base.id in ctx.local_classes:
-                receiver = ctx.local_classes[base.id]
-            if receiver:
-                method = project.find_method(receiver, func.attr)
-                if method is not None:
-                    return [method.id]
-            return []
-        if isinstance(base, ast.Attribute) and \
-                isinstance(base.value, ast.Name) and \
-                base.value.id == "self" and ctx.class_id:
-            for cid in project.class_mro(ctx.class_id):
-                attr_cls = project.classes[cid].attr_classes.get(base.attr)
-                if attr_cls is not None:
-                    method = project.find_method(attr_cls, func.attr)
-                    return [method.id] if method is not None else []
-            return []
-        if isinstance(base, ast.Call) and isinstance(base.func, ast.Name) \
-                and base.func.id == "super" and ctx.class_id:
-            bases = project.classes[ctx.class_id].bases
-            if len(bases) == 1:
-                method = project.find_method(bases[0], func.attr)
-                if method is not None:
-                    return [method.id]
-        return []
-
-    def _taxonomy_of(self, ctx: _FuncCtx, expr: ast.expr) -> str | None:
+    def _taxonomy_of(self, func: FuncInfo, expr: ast.expr) -> str | None:
         target = expr.func if isinstance(expr, ast.Call) else expr
-        cls = self.project.resolve_class_expr(ctx.mod, target)
+        cls = self.project.resolve_class_expr(
+            self.project.modules[func.module], target)
         if cls is None or cls.id not in self.taxonomy:
             return None
         if cls.id in self._ambient:
             return None  # ConfigError is ambient, never tracked
         return cls.id
 
-    def _caught(self, ctx: _FuncCtx, handler: ast.ExceptHandler) -> set[str]:
+    def _caught(self, func: FuncInfo, handler: ast.ExceptHandler) -> set[str]:
         """Taxonomy classes a handler clause catches (closure)."""
         if handler.type is None:
             return set(self.taxonomy)
         exprs = handler.type.elts \
             if isinstance(handler.type, ast.Tuple) else [handler.type]
+        mod = self.project.modules[func.module]
         caught: set[str] = set()
         for expr in exprs:
-            cls = self.project.resolve_class_expr(ctx.mod, expr)
+            cls = self.project.resolve_class_expr(mod, expr)
             if cls is not None:
                 if cls.id in self.taxonomy:
                     caught |= self.project.subclasses_of(cls.id)
@@ -192,7 +117,7 @@ class ExceptionFlow:
 
     # -- structured body evaluation ------------------------------------------
 
-    def _expr_calls(self, ctx: _FuncCtx, node: ast.AST) -> set[str]:
+    def _expr_calls(self, func: FuncInfo, node: ast.AST) -> set[str]:
         """May-raise contribution of calls in an expression subtree."""
         out: set[str] = set()
         stack: list[ast.AST] = [node]
@@ -202,19 +127,19 @@ class ExceptionFlow:
                                 ast.AsyncFunctionDef, ast.ClassDef)):
                 continue  # deferred bodies don't raise here
             if isinstance(cur, ast.Call):
-                for callee in self._callees(ctx, cur):
+                for callee in self.project.callees(func, cur):
                     out |= self.may_raise.get(callee, set())
             stack.extend(ast.iter_child_nodes(cur))
         return out
 
-    def _block(self, ctx: _FuncCtx, stmts: list[ast.stmt],
+    def _block(self, func: FuncInfo, stmts: list[ast.stmt],
                reraise: set[str]) -> set[str]:
         out: set[str] = set()
         for stmt in stmts:
-            out |= self._stmt(ctx, stmt, reraise)
+            out |= self._stmt(func, stmt, reraise)
         return out
 
-    def _stmt(self, ctx: _FuncCtx, stmt: ast.stmt,
+    def _stmt(self, func: FuncInfo, stmt: ast.stmt,
               reraise: set[str]) -> set[str]:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -224,58 +149,56 @@ class ExceptionFlow:
             if stmt.exc is None:
                 out |= reraise
             else:
-                out |= self._expr_calls(ctx, stmt.exc)
-                cls = self._taxonomy_of(ctx, stmt.exc)
+                out |= self._expr_calls(func, stmt.exc)
+                cls = self._taxonomy_of(func, stmt.exc)
                 if cls is not None:
                     out.add(cls)
             if stmt.cause is not None:
-                out |= self._expr_calls(ctx, stmt.cause)
+                out |= self._expr_calls(func, stmt.cause)
             return out
         if isinstance(stmt, ast.Try):
-            body = self._block(ctx, stmt.body, reraise)
+            body = self._block(func, stmt.body, reraise)
             escaped = set(body)
             handler_sets: list[set[str]] = []
             for handler in stmt.handlers:
-                caught = self._caught(ctx, handler)
+                caught = self._caught(func, handler)
                 handler_sets.append(
-                    self._block(ctx, handler.body, reraise=body & caught))
+                    self._block(func, handler.body, reraise=body & caught))
                 escaped -= caught
             out = escaped
             for handled in handler_sets:
                 out |= handled
-            out |= self._block(ctx, stmt.orelse, reraise)
-            out |= self._block(ctx, stmt.finalbody, reraise)
+            out |= self._block(func, stmt.orelse, reraise)
+            out |= self._block(func, stmt.finalbody, reraise)
             return out
         if isinstance(stmt, (ast.If, ast.While)):
-            out = self._expr_calls(ctx, stmt.test)
-            out |= self._block(ctx, stmt.body, reraise)
-            out |= self._block(ctx, stmt.orelse, reraise)
+            out = self._expr_calls(func, stmt.test)
+            out |= self._block(func, stmt.body, reraise)
+            out |= self._block(func, stmt.orelse, reraise)
             return out
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            out = self._expr_calls(ctx, stmt.iter)
-            out |= self._block(ctx, stmt.body, reraise)
-            out |= self._block(ctx, stmt.orelse, reraise)
+            out = self._expr_calls(func, stmt.iter)
+            out |= self._block(func, stmt.body, reraise)
+            out |= self._block(func, stmt.orelse, reraise)
             return out
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             out: set[str] = set()
             for item in stmt.items:
-                out |= self._expr_calls(ctx, item.context_expr)
-            out |= self._block(ctx, stmt.body, reraise)
+                out |= self._expr_calls(func, item.context_expr)
+            out |= self._block(func, stmt.body, reraise)
             return out
-        return self._expr_calls(ctx, stmt)
+        return self._expr_calls(func, stmt)
 
     # -- fixpoint ------------------------------------------------------------
 
     def _solve(self) -> None:
         funcs = sorted(self.project.functions)
         self.may_raise = {fid: set() for fid in funcs}
-        contexts = {fid: self._make_ctx(self.project.functions[fid])
-                    for fid in funcs}
         for _ in range(_MAX_ITERATIONS):
             changed = False
             for fid in funcs:
-                ctx = contexts[fid]
-                new = self._block(ctx, list(ctx.func.node.body), set())
+                func = self.project.functions[fid]
+                new = self._block(func, list(func.node.body), set())
                 if new != self.may_raise[fid]:
                     self.may_raise[fid] = new
                     changed = True

@@ -177,6 +177,11 @@ class FuncInfo:
         return self.node.name
 
     @property
+    def class_id(self) -> str:
+        """The owning class's id, "" for plain functions."""
+        return f"{self.module}:{self.class_name}" if self.class_name else ""
+
+    @property
     def is_public(self) -> bool:
         if any(part.startswith("_") and not part.startswith("__")
                for part in self.qualname.split(".")):
@@ -314,6 +319,11 @@ class Project:
         self.edges: list[ImportEdge] = []
         self.classes: dict[str, ClassInfo] = {}
         self.functions: dict[str, FuncInfo] = {}
+        #: (scope, call site) -> callee ids; see :meth:`callees`.
+        self._callees: dict[tuple[str, ast.Call], list[str]] = {}
+        #: function id -> local name -> classes it may hold; see
+        #: :meth:`_local_types`.
+        self._types: dict[str, dict[str, set[str]]] = {}
         self._index_symbols()
         self._resolve_imports()
         self._index_defs()
@@ -601,3 +611,169 @@ class Project:
                     out.add(info.id)
                     changed = True
         return out
+
+    def attr_class(self, class_id: str, attr: str) -> str:
+        """Construction-tracked class of ``attr`` on a ``class_id``
+        instance, looked up through the MRO ("" when unknown)."""
+        for cid in self.class_mro(class_id):
+            found = self.classes[cid].attr_classes.get(attr)
+            if found is not None:
+                return found
+        return ""
+
+    # -- the call model ------------------------------------------------------
+
+    def callees(self, scope: FuncInfo | ModuleInfo,
+                call: ast.Call) -> list[str]:
+        """Project functions ``call`` may reach, as sorted function ids.
+
+        This is the analyzer's one call model: unit taint, RNG
+        provenance, exception flow, effects and the columnar contracts
+        all ask it which functions a call site reaches, and
+        :meth:`bind_args` which parameter each argument binds.
+        ``scope`` is the function the call appears in (or the module,
+        for module-level code).  A call reaches:
+
+        * a module function or imported name: that function;
+        * a project class: its ``__init__`` and ``__post_init__``,
+          through the MRO;
+        * ``recv.m(...)``: method ``m``, through the MRO of every class
+          ``recv`` may be an instance of.  A receiver is typed when it
+          is ``self`` (in a method or a function nested in one);
+          ``super()`` with a single project base; a parameter annotated
+          with a project class (``system: SimEngine``); a local assigned
+          a construction (``v = Cls(...)``) or a typed value (``x =
+          self.attr``); or an attribute of a typed receiver
+          (``self.attr``), typed by the ``self.attr = Cls(...)``
+          constructions in its class's MRO.  A local assigned several
+          types reaches the method of each.
+
+        Soundness note: calls the model cannot resolve (duck-typed
+        callables, external libraries, receivers of unknown type) reach
+        nothing, so every analysis built on it under-approximates; the
+        fixtures in the test suite pin exactly what each rule proves.
+        The answer is computed once per call site and scope.
+        """
+        key = (scope.id if isinstance(scope, FuncInfo) else scope.name, call)
+        found = self._callees.get(key)
+        if found is None:
+            found = self._callees[key] = self._resolve_call(scope, call)
+        return found
+
+    def _resolve_call(self, scope: FuncInfo | ModuleInfo,
+                      call: ast.Call) -> list[str]:
+        func = scope if isinstance(scope, FuncInfo) else None
+        mod = self.modules[func.module] if func is not None else scope
+        target = self.resolve_func_expr(mod, call.func)
+        if target in self.functions:
+            return [target]
+        if target in self.classes:
+            receivers, names = {target}, ("__init__", "__post_init__")
+        elif target is None and func is not None and \
+                isinstance(call.func, ast.Attribute):
+            receivers = self._instance_of(func, call.func.value)
+            names = (call.func.attr,)
+        else:
+            return []
+        methods = (self.find_method(cid, name)
+                   for cid in receivers for name in names)
+        return sorted({m.id for m in methods if m is not None})
+
+    def _instance_of(self, func: FuncInfo, expr: ast.expr) -> set[str]:
+        """Project classes the value of ``expr`` in ``func`` may have."""
+        if isinstance(expr, ast.Name):
+            return self._local_types(func).get(expr.id, set())
+        if isinstance(expr, ast.Attribute):
+            owners = self._instance_of(func, expr.value)
+            return {cls for cls in (self.attr_class(owner, expr.attr)
+                                    for owner in owners) if cls}
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
+                and expr.func.id == "super" and func.class_id:
+            bases = self.classes[func.class_id].bases
+            return set(bases) if len(bases) == 1 else set()
+        return set()
+
+    def _local_types(self, func: FuncInfo) -> dict[str, set[str]]:
+        """Local name -> project classes it may hold in ``func``."""
+        types = self._types.get(func.id)
+        if types is not None:
+            return types
+        mod = self.modules[func.module]
+        # Published before it is filled: an alias's value is typed
+        # against the bindings made earlier in source order.
+        types = self._types[func.id] = {}
+        if func.class_id:
+            types["self"] = {func.class_id}
+        args = func.node.args
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+            cls = self.resolve_class_expr(mod, arg.annotation) \
+                if arg.annotation is not None else None
+            if cls is not None:
+                types.setdefault(arg.arg, set()).add(cls.id)
+        binds: list[tuple[list[ast.expr], ast.expr]] = []
+        for node in ast.walk(func.node):
+            if isinstance(node, ast.Assign):
+                binds.append((node.targets, node.value))
+            elif isinstance(node, ast.NamedExpr):
+                binds.append(([node.target], node.value))
+        binds.sort(key=lambda bind: (bind[1].lineno, bind[1].col_offset))
+        for targets, value in binds:
+            if isinstance(value, ast.Call):
+                cls = self.resolve_class_expr(mod, value.func)
+                classes = {cls.id} if cls is not None else set()
+            else:
+                classes = self._instance_of(func, value)
+            for tgt in targets:
+                if classes and isinstance(tgt, ast.Name):
+                    types.setdefault(tgt.id, set()).update(classes)
+        return types
+
+    def bind_args(self, callee: str, call: ast.Call) -> dict[str, ast.expr]:
+        """Parameter name -> argument expression at one resolved call.
+
+        A method's ``self``/``cls`` is bound by the call itself (every
+        method :meth:`callees` returns is reached through a receiver or
+        a construction), so positional arguments bind from the next
+        parameter on, up to the first ``*`` splat.  Keyword arguments
+        bind by name; one the callee does not declare lands in its
+        ``**kwargs`` under that name.
+        """
+        func = self.functions[callee]
+        args = func.node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args)]
+        if func.class_name and params and params[0] in ("self", "cls"):
+            params = params[1:]
+        bound: dict[str, ast.expr] = {}
+        for param, arg in zip(params, call.args):
+            if isinstance(arg, ast.Starred):
+                break
+            bound[param] = arg
+        for kw in call.keywords:
+            if kw.arg is not None:
+                bound[kw.arg] = kw.value
+        return bound
+
+    def external_name(self, mod: ModuleInfo, expr: ast.expr) -> str | None:
+        """Dotted name of a reference rooted at an external import.
+
+        Under ``import numpy as np``, ``np.random.default_rng`` is
+        ``"numpy.random.default_rng"``; under ``from hashlib import
+        sha256``, ``sha256`` is ``"hashlib.sha256"``.  ``None`` for
+        locals, project names and expressions not rooted at a name.
+        """
+        attrs: list[str] = []
+        while isinstance(expr, ast.Attribute):
+            attrs.append(expr.attr)
+            expr = expr.value
+        if not isinstance(expr, ast.Name):
+            return None
+        binding = mod.bindings.get(expr.id)
+        if binding is None or binding.module in self.modules:
+            return None
+        if binding.symbol:
+            root = f"{binding.module}.{binding.symbol}"
+        elif binding.module.split(".")[0] == expr.id:
+            root = expr.id  # ``import a.b`` binds ``a``
+        else:
+            root = binding.module
+        return ".".join([root, *reversed(attrs)])

@@ -39,55 +39,18 @@ import ast
 
 from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
 
-#: numpy.random constructor names that yield a stream object.
-RNG_CTORS = frozenset({
+#: numpy.random constructors that yield a stream object.
+RNG_CTORS = frozenset(f"numpy.random.{name}" for name in (
     "default_rng", "Generator", "PCG64", "PCG64DXSM", "Philox", "SFC64",
     "MT19937", "RandomState",
-})
+))
+
+#: The hash a serve-layer seed must flow through (RPR111).
+SHA256 = "hashlib.sha256"
 
 #: Top-level packages whose RNG streams must be seeded from a
 #: sha256-derived substream (RPR111).
 HASHED_SEED_PACKAGES = frozenset({"serve"})
-
-
-def _is_numpy_rng_call(mod: ModuleInfo, call: ast.Call) -> bool:
-    """True for ``np.random.default_rng(...)``-shaped constructions."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        binding = mod.bindings.get(func.id)
-        return (
-            func.id in RNG_CTORS
-            and binding is not None
-            and binding.module.startswith("numpy")
-        )
-    if not (isinstance(func, ast.Attribute) and func.attr in RNG_CTORS):
-        return False
-    base = func.value
-    if isinstance(base, ast.Attribute) and base.attr == "random" \
-            and isinstance(base.value, ast.Name):
-        binding = mod.bindings.get(base.value.id)
-        return binding is not None and binding.module == "numpy"
-    if isinstance(base, ast.Name):
-        binding = mod.bindings.get(base.id)
-        return binding is not None and binding.module.startswith("numpy")
-    return False
-
-
-def _is_sha256_call(mod: ModuleInfo, call: ast.Call) -> bool:
-    """True for ``hashlib.sha256(...)``-shaped constructions."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        binding = mod.bindings.get(func.id)
-        return (
-            func.id == "sha256"
-            and binding is not None
-            and binding.module == "hashlib"
-        )
-    if isinstance(func, ast.Attribute) and func.attr == "sha256" \
-            and isinstance(func.value, ast.Name):
-        binding = mod.bindings.get(func.value.id)
-        return binding is not None and binding.module == "hashlib"
-    return False
 
 
 class _Summaries:
@@ -95,10 +58,10 @@ class _Summaries:
 
     def __init__(self, project: Project) -> None:
         self.project = project
-        #: class ids whose instances own a Generator (stream-like).
-        self.stream_classes: set[str] = set()
-        #: function ids that return a stream value.
-        self.stream_returns: set[str] = set()
+        #: function ids whose call yields a stream value: constructors
+        #: of classes whose instances own a Generator, and functions
+        #: returning a stream.
+        self.stream_funcs: set[str] = set()
         #: function id -> parameter names it retains (stores durably).
         self.retained_params: dict[str, set[str]] = {}
         #: function ids whose body (transitively) calls hashlib.sha256.
@@ -106,50 +69,53 @@ class _Summaries:
         self._build()
 
     def _build(self) -> None:
+        project = self.project
         # Pass 1: classes that construct an RNG inside a method body.
-        for cls in self.project.classes.values():
-            mod = self.project.modules[cls.module]
+        stream_classes: set[str] = set()
+        for cls in project.classes.values():
+            mod = project.modules[cls.module]
             init = cls.methods.get("__init__") or cls.methods.get(
                 "__post_init__")
             if init is None:
                 continue
             for node in ast.walk(init):
                 if isinstance(node, ast.Call) and \
-                        _is_numpy_rng_call(mod, node):
-                    self.stream_classes.add(cls.id)
+                        project.external_name(mod, node.func) in RNG_CTORS:
+                    stream_classes.add(cls.id)
                     break
         # Subclasses of stream-like classes are stream-like too.
-        for cls_id in sorted(self.stream_classes):
-            self.stream_classes |= self.project.subclasses_of(cls_id)
+        for cls_id in sorted(stream_classes):
+            stream_classes |= project.subclasses_of(cls_id)
+        ctors = {f"{cls_id}.{name}" for cls_id in stream_classes
+                 for name in ("__init__", "__post_init__")}
+        ctors &= set(project.functions)
 
         # Pass 2: functions whose annotation or returns yield a stream.
-        for func in self.project.functions.values():
-            mod = self.project.modules[func.module]
+        returns: set[str] = set()
+        for func in project.functions.values():
+            mod = project.modules[func.module]
             ann = func.node.returns
             if ann is not None:
-                resolved = self.project.resolve_class_expr(mod, ann)
-                if resolved is not None and \
-                        resolved.id in self.stream_classes:
-                    self.stream_returns.add(func.id)
+                resolved = project.resolve_class_expr(mod, ann)
+                if resolved is not None and resolved.id in stream_classes:
+                    returns.add(func.id)
                     continue
                 if isinstance(ann, ast.Attribute) and ann.attr == "Generator":
-                    self.stream_returns.add(func.id)
+                    returns.add(func.id)
                     continue
             for node in ast.walk(func.node):
                 if isinstance(node, ast.Return) and node.value is not None \
                         and isinstance(node.value, ast.Call):
-                    if _is_numpy_rng_call(mod, node.value):
-                        self.stream_returns.add(func.id)
+                    if project.external_name(mod, node.value.func) in \
+                            RNG_CTORS or ctors.intersection(
+                                project.callees(func, node.value)):
+                        returns.add(func.id)
                         break
-                    callee = self.project.resolve_func_expr(
-                        mod, node.value.func)
-                    if callee in self.stream_classes:
-                        self.stream_returns.add(func.id)
-                        break
+        self.stream_funcs = ctors | returns
 
         # Pass 3: retained parameters (stored to self.*, an attribute,
         # or a subscript anywhere in the body).
-        for func in self.project.functions.values():
+        for func in project.functions.values():
             params = {a.arg for a in func.node.args.args}
             params |= {a.arg for a in func.node.args.kwonlyargs}
             params.discard("self")
@@ -170,48 +136,19 @@ class _Summaries:
         changed = True
         while changed:
             changed = False
-            for func in self.project.functions.values():
+            for func in project.functions.values():
                 if func.id in self.hashing_funcs:
                     continue
-                mod = self.project.modules[func.module]
+                mod = project.modules[func.module]
                 for node in ast.walk(func.node):
                     if not isinstance(node, ast.Call):
                         continue
-                    if _is_sha256_call(mod, node) or self.resolve_call(
-                            mod, func, node) in self.hashing_funcs:
+                    if project.external_name(mod, node.func) == SHA256 or \
+                            self.hashing_funcs.intersection(
+                                project.callees(func, node)):
                         self.hashing_funcs.add(func.id)
                         changed = True
                         break
-
-    def resolve_call(
-        self, mod: ModuleInfo, func: FuncInfo, call: ast.Call
-    ) -> str | None:
-        """Resolve a call to a function id, including ``self.m()``."""
-        target = self.project.resolve_func_expr(mod, call.func)
-        if target is not None:
-            return target
-        f = call.func
-        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
-                and f.value.id == "self" and func.class_name:
-            method = self.project.find_method(
-                f"{func.module}:{func.class_name}", f.attr)
-            return method.id if method is not None else None
-        return None
-
-    def retains(self, func_id: str, arg_index: int, keyword: str | None,
-                has_self: bool) -> bool:
-        retained = self.retained_params.get(func_id)
-        if not retained:
-            return False
-        func = self.project.functions[func_id]
-        params = [a.arg for a in func.node.args.args]
-        if has_self and params and params[0] == "self":
-            params = params[1:]
-        if keyword is not None:
-            return keyword in retained
-        if 0 <= arg_index < len(params):
-            return params[arg_index] in retained
-        return False
 
 
 class RngFlow:
@@ -224,15 +161,12 @@ class RngFlow:
 
     # -- stream production ---------------------------------------------------
 
-    def _is_stream_call(self, mod: ModuleInfo, call: ast.Call) -> bool:
-        if _is_numpy_rng_call(mod, call):
+    def _is_stream_call(self, mod: ModuleInfo, scope: FuncInfo | ModuleInfo,
+                        call: ast.Call) -> bool:
+        if self.project.external_name(mod, call.func) in RNG_CTORS:
             return True
-        callee = self.project.resolve_func_expr(mod, call.func)
-        if callee is None:
-            return False
-        if callee in self.summaries.stream_classes:
-            return True
-        return callee in self.summaries.stream_returns
+        return not self.summaries.stream_funcs.isdisjoint(
+            self.project.callees(scope, call))
 
     # -- module scope (RPR106) -----------------------------------------------
 
@@ -243,7 +177,7 @@ class RngFlow:
                 continue
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call) and \
-                        self._is_stream_call(mod, node):
+                        self._is_stream_call(mod, mod, node):
                     self.findings.append(finding_at(
                         mod, node.lineno, node.col_offset, "RPR106",
                         "RNG stream constructed at module scope: a global "
@@ -269,7 +203,7 @@ class RngFlow:
             if isinstance(node, ast.Assign):
                 value = node.value
                 if isinstance(value, ast.Call) and \
-                        self._is_stream_call(mod, value):
+                        self._is_stream_call(mod, func, value):
                     birth = (value.lineno, value.col_offset)
                     for tgt in node.targets:
                         if isinstance(tgt, ast.Name):
@@ -285,25 +219,16 @@ class RngFlow:
                         elif isinstance(tgt, (ast.Attribute, ast.Subscript)):
                             sink(value.id, node, "stored")
             elif isinstance(node, ast.Call):
-                callee = self.project.resolve_func_expr(mod, node.func)
-                has_self = False
-                if callee is not None and callee in self.project.classes:
-                    init = self.project.find_method(callee, "__init__")
-                    callee = init.id if init is not None else None
-                    has_self = True
-                if callee is None:
-                    continue
-                for idx, arg in enumerate(node.args):
-                    if isinstance(arg, ast.Name) and arg.id in streams and \
-                            self.summaries.retains(callee, idx, None,
-                                                   has_self):
-                        sink(arg.id, node, f"passed to {callee}")
-                for kw in node.keywords:
-                    if isinstance(kw.value, ast.Name) and \
-                            kw.value.id in streams and \
-                            self.summaries.retains(callee, -1, kw.arg,
-                                                   has_self):
-                        sink(kw.value.id, node, f"passed to {callee}")
+                owners: dict[ast.expr, str] = {}
+                for callee in self.project.callees(func, node):
+                    kept = self.summaries.retained_params.get(callee, ())
+                    bound = self.project.bind_args(callee, node)
+                    for param, arg in bound.items():
+                        if param in kept and isinstance(arg, ast.Name) \
+                                and arg.id in streams:
+                            owners.setdefault(arg, callee)
+                for arg, callee in owners.items():
+                    sink(arg.id, node, f"passed to {callee}")
 
         for birth in sorted(sinks):
             events = sorted(sinks[birth])
@@ -328,11 +253,9 @@ class RngFlow:
         """True when a sha256 derivation reaches ``expr``."""
         for node in ast.walk(expr):
             if isinstance(node, ast.Call):
-                if _is_sha256_call(mod, node):
-                    return True
-                callee = self.summaries.resolve_call(mod, func, node)
-                if callee is not None and \
-                        callee in self.summaries.hashing_funcs:
+                if self.project.external_name(mod, node.func) == SHA256 or \
+                        self.summaries.hashing_funcs.intersection(
+                            self.project.callees(func, node)):
                     return True
             elif isinstance(node, ast.Name) and node.id in tainted:
                 return True
@@ -359,8 +282,8 @@ class RngFlow:
                         tainted.add(tgt.id)
                         changed = True
         for node in ast.walk(func.node):
-            if not (isinstance(node, ast.Call)
-                    and _is_numpy_rng_call(mod, node)):
+            if not (isinstance(node, ast.Call) and self.project.external_name(
+                    mod, node.func) in RNG_CTORS):
                 continue
             seed: ast.expr | None = node.args[0] if node.args else None
             if seed is None:

@@ -81,10 +81,12 @@ class _FunctionUnits:
     """One forward pass over a function (or module) body."""
 
     def __init__(self, analysis: "UnitFlow", mod: ModuleInfo,
-                 owner: str) -> None:
+                 scope: FuncInfo | ModuleInfo) -> None:
         self.analysis = analysis
         self.mod = mod
-        self.owner = owner  # qualname for messages, "" at module scope
+        self.scope = scope
+        # qualname for messages, "" at module scope
+        self.owner = scope.qualname if isinstance(scope, FuncInfo) else ""
         self.env: dict[str, str | None] = {}
 
     # -- expression units ----------------------------------------------------
@@ -139,18 +141,17 @@ class _FunctionUnits:
 
     def _call_unit(self, expr: ast.Call) -> str | None:
         self.unit_of(expr.func)
-        args = [self.unit_of(arg) for arg in expr.args]
-        keywords = [(kw, self.unit_of(kw.value)) for kw in expr.keywords]
-        callee = self.analysis.project.resolve_func_expr(self.mod, expr.func)
-        if callee is None:
-            if isinstance(expr.func, ast.Name) and \
-                    expr.func.id in _UNIT_PRESERVING:
-                units = set(args) - {None}
-                return units.pop() if len(units) == 1 else None
-            return None
-        if callee in KNOWN_RETURNS:
-            return KNOWN_RETURNS[callee]
-        self._check_call_args(expr, callee, args, keywords)
+        units = {arg: self.unit_of(arg)
+                 for arg in (*expr.args, *(kw.value for kw in expr.keywords))}
+        callees = self.analysis.project.callees(self.scope, expr)
+        if not callees and isinstance(expr.func, ast.Name) and \
+                expr.func.id in _UNIT_PRESERVING:
+            found = {units[arg] for arg in expr.args} - {None}
+            return found.pop() if len(found) == 1 else None
+        for callee in callees:
+            if callee in KNOWN_RETURNS:
+                return KNOWN_RETURNS[callee]
+            self._check_call_args(expr, callee, units)
         return None
 
     # -- conflict reporting --------------------------------------------------
@@ -169,32 +170,18 @@ class _FunctionUnits:
             f"{_hint(left, right)} first",
         )
 
-    def _check_call_args(
-        self, call: ast.Call, callee: str, args: list[str | None],
-        keywords: list[tuple[ast.keyword, str | None]],
-    ) -> None:
-        func = self.analysis.project.functions.get(callee)
-        if func is None:
-            cls = self.analysis.project.classes.get(callee)
-            if cls is None:
-                return
-            func = self.analysis.project.find_method(callee, "__init__")
-            if func is None:
-                return
-        params = [a.arg for a in func.node.args.args]
-        if func.class_name and params and params[0] == "self":
-            params = params[1:]
-        passed = [*zip(params, call.args, args),
-                  *((kw.arg, kw.value, got) for kw, got in keywords
-                    if kw.arg is not None)]
-        for param, arg, got in passed:
-            want = unit_of_name(param)
+    def _check_call_args(self, call: ast.Call, callee: str,
+                         units: dict[ast.expr, str | None]) -> None:
+        project = self.analysis.project
+        qualname = project.functions[callee].qualname
+        for param, arg in project.bind_args(callee, call).items():
+            want, got = unit_of_name(param), units[arg]
             if want is not None and got is not None and want != got:
                 self.analysis.report(
                     self.mod, arg,
                     f"unit conflict{self._where()}: passes a {got}-valued "
                     f"argument to parameter '{param}' ({want}) of "
-                    f"{func.qualname}(); convert via {_hint(want, got)} first",
+                    f"{qualname}(); convert via {_hint(want, got)} first",
                 )
 
     # -- statements ----------------------------------------------------------
@@ -355,11 +342,11 @@ class UnitFlow:
 
     def run(self) -> list[Finding]:
         for mod in self.project.modules.values():
-            _FunctionUnits(self, mod, owner="").run(mod.tree.body,
-                                                   return_unit=None)
+            _FunctionUnits(self, mod, mod).run(mod.tree.body,
+                                              return_unit=None)
         for func in self.project.functions.values():
             mod = self.project.modules[func.module]
-            walker = _FunctionUnits(self, mod, owner=func.qualname)
+            walker = _FunctionUnits(self, mod, func)
             self._seed_params(walker, func)
             walker.run(list(func.node.body),
                        return_unit=unit_of_name(func.name))

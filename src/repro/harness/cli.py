@@ -38,7 +38,36 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available tables/figures")
-    run = sub.add_parser("run", help="regenerate one or more tables/figures")
+    # The sweep-engine flags every sweeping subcommand shares; read back
+    # by _sweep_engine.
+    sweep_flags = argparse.ArgumentParser(add_help=False)
+    sweep_flags.add_argument(
+        "--jobs",
+        "-j",
+        type=int,
+        default=1,
+        help="worker processes for the sweep engine; rows are identical "
+        "for any job count (default %(default)s)",
+    )
+    sweep_flags.add_argument(
+        "--cache-dir",
+        default=os.environ.get("REPRO_SWEEP_CACHE"),
+        help="directory for the on-disk sweep result cache; already-"
+        "computed cells are skipped on re-runs (default: $REPRO_SWEEP_CACHE, "
+        "else no cache)",
+    )
+    sweep_flags.add_argument(
+        "--force",
+        action="store_true",
+        help="recompute every cell even if cached (refreshes the cache)",
+    )
+    sweep_flags.add_argument(
+        "--progress",
+        action="store_true",
+        help="print one line per finished sweep cell",
+    )
+    run = sub.add_parser("run", parents=[sweep_flags],
+                         help="regenerate one or more tables/figures")
     run.add_argument("figures", nargs="+", help="figure ids (or 'all')")
     run.add_argument(
         "--scale",
@@ -47,31 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         help="workload scale factor for trace-driven figures (default %(default)s)",
     )
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="worker processes for the sweep engine; rows are identical "
-        "for any job count (default %(default)s)",
-    )
-    run.add_argument(
-        "--cache-dir",
-        default=os.environ.get("REPRO_SWEEP_CACHE"),
-        help="directory for the on-disk sweep result cache; already-"
-        "computed cells are skipped on re-runs (default: $REPRO_SWEEP_CACHE, "
-        "else no cache)",
-    )
-    run.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute every cell even if cached (refreshes the cache)",
-    )
-    run.add_argument(
-        "--progress",
-        action="store_true",
-        help="print one line per finished sweep cell",
-    )
 
     sub.add_parser(
         "analyze",
@@ -83,6 +87,7 @@ def main(argv: list[str] | None = None) -> int:
 
     faults = sub.add_parser(
         "faults",
+        parents=[sweep_flags],
         help="fault-injection sweep: fault rate x retry policy through the "
         "timing simulator (deterministic for any --jobs)",
     )
@@ -104,10 +109,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(default %(default)s)")
     faults.add_argument("--cache-pages", type=int, default=512,
                         help="cache size in pages (default %(default)s)")
-    faults.add_argument("--jobs", "-j", type=int, default=1)
-    faults.add_argument("--cache-dir", default=os.environ.get("REPRO_SWEEP_CACHE"))
-    faults.add_argument("--force", action="store_true")
-    faults.add_argument("--progress", action="store_true")
     faults.add_argument(
         "--events-out", default=None, metavar="PATH",
         help="write the deterministic vulnerability-window demo event log "
@@ -123,6 +124,7 @@ def main(argv: list[str] | None = None) -> int:
 
     rel = sub.add_parser(
         "reliability",
+        parents=[sweep_flags],
         help="sweep cleaner/scrubber/rebuild knobs, measure the "
         "vulnerability-window exposure, and cross-check the Monte-Carlo "
         "data-loss estimate against the analytic Markov MTTDL",
@@ -150,10 +152,6 @@ def main(argv: list[str] | None = None) -> int:
     rel.add_argument("--iops", type=float, default=2.0e4,
                      help="IOPS figure mapping accesses to wall time "
                      "(default %(default)s)")
-    rel.add_argument("--jobs", "-j", type=int, default=1)
-    rel.add_argument("--cache-dir", default=os.environ.get("REPRO_SWEEP_CACHE"))
-    rel.add_argument("--force", action="store_true")
-    rel.add_argument("--progress", action="store_true")
     rel.add_argument(
         "--report-out", default=None, metavar="PATH",
         help="write the full nested report (exposure / scrub / params / "
@@ -162,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
 
     serve = sub.add_parser(
         "serve",
+        parents=[sweep_flags],
         help="multi-tenant serving sweep: compose N tenant streams onto one "
         "array and compare static vs dynamic per-tenant cache partitioning "
         "(deterministic for any --jobs)",
@@ -219,10 +218,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="composer seed, shared by every plan so static "
                        "and dynamic see the identical composed workload "
                        "(default %(default)s)")
-    serve.add_argument("--jobs", "-j", type=int, default=1)
-    serve.add_argument("--cache-dir", default=os.environ.get("REPRO_SWEEP_CACHE"))
-    serve.add_argument("--force", action="store_true")
-    serve.add_argument("--progress", action="store_true")
     serve.add_argument(
         "--report-out", default=None, metavar="PATH",
         help="write the full report (aggregate + per-tenant rows per plan) "
@@ -277,12 +272,7 @@ def _run_command(args) -> int:
     if unknown:
         raise ConfigError(f"unknown figures: {unknown}; try 'kdd-repro list'")
 
-    engine = SweepEngine(
-        jobs=args.jobs,
-        cache=args.cache_dir,
-        force=args.force,
-        progress=_print_progress if args.progress else None,
-    )
+    engine = _sweep_engine(args)
     for name in names:
         fn = ALL_FIGURES[name]
         kwargs = {"engine": engine}
@@ -299,6 +289,17 @@ def _run_command(args) -> int:
         print(result.render())
         print(f"({name} finished in {time.time() - start:.1f}s)\n")
     return 0
+
+
+def _sweep_engine(args) -> SweepEngine:
+    """The engine the shared --jobs/--cache-dir/--force/--progress flags
+    ask for."""
+    return SweepEngine(
+        jobs=args.jobs,
+        cache=args.cache_dir,
+        force=args.force,
+        progress=_print_progress if args.progress else None,
+    )
 
 
 def _print_progress(tick: SweepProgress) -> None:
@@ -370,12 +371,7 @@ def _faults_command(args) -> int:
         for timeout_rate in _parse_rates(args.timeout_rates, "--timeout-rates")
         for retry in retries
     ]
-    engine = SweepEngine(
-        jobs=args.jobs,
-        cache=args.cache_dir,
-        force=args.force,
-        progress=_print_progress if args.progress else None,
-    )
+    engine = _sweep_engine(args)
     start = time.time()
     result = engine.run(cells)
     # The nested exposure block (shared shape with the reliability
@@ -430,12 +426,7 @@ def _reliability_command(args) -> int:
         for priority in _parse_rates(args.rebuild_priorities,
                                      "--rebuild-priorities")
     ]
-    engine = SweepEngine(
-        jobs=args.jobs,
-        cache=args.cache_dir,
-        force=args.force,
-        progress=_print_progress if args.progress else None,
-    )
+    engine = _sweep_engine(args)
     start = time.time()
     result = engine.run(cells)
     rows = [dict(r) for r in result.rows]
@@ -510,12 +501,7 @@ def _serve_command(args) -> int:
         )
         for plan in plans
     ]
-    engine = SweepEngine(
-        jobs=args.jobs,
-        cache=args.cache_dir,
-        force=args.force,
-        progress=_print_progress if args.progress else None,
-    )
+    engine = _sweep_engine(args)
     start = time.time()
     result = engine.run(cells)
     rows = [dict(r) for r in result.rows]

@@ -53,6 +53,9 @@ class ExposureRunConfig:
     def __post_init__(self) -> None:
         if self.accesses < 1:
             raise ConfigError("accesses must be >= 1")
+        if self.universe_pages < 1:
+            raise ConfigError(
+                f"universe_pages must be >= 1, got {self.universe_pages}")
         if self.scrub_period < 0:
             raise ConfigError("scrub_period must be >= 0")
 

@@ -215,6 +215,7 @@ class ServeDriver:
             composer.n_tenants, window_s=window_s, gap_stride=gap_stride
         )
 
+    @raises(SimulationError)
     def run(
         self,
         duration_s: float | None = None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine import SimEngine, TimingReport
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError, raises
 from ..traces.synthetic import _zipf_cdf
 
 
@@ -41,6 +41,7 @@ class FioConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
+@raises(SimulationError)
 def run_closed_loop(system: SimEngine, config: FioConfig) -> TimingReport:
     """Drive ``system`` with ``nthreads`` back-to-back request streams."""
     rng = np.random.default_rng(config.seed)

@@ -8,10 +8,11 @@ when the device pool falls behind the arrival process.
 from __future__ import annotations
 
 from ..engine import SimEngine, TimingReport
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError, raises
 from ..traces.trace import Trace
 
 
+@raises(SimulationError)
 def replay_trace(
     system: SimEngine,
     trace: Trace,

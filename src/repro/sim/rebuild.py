@@ -12,12 +12,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from ..engine import SimEngine
-from ..errors import ConfigError, DegradedError, raises
+from ..errors import ConfigError, RaidError, SimulationError, raises
 from ..raid.rebuild import RebuildReport, finish_rebuild, iter_rebuild_ops
 from ..traces.record import IORequest
 
 
-@raises(DegradedError)
+@raises(RaidError, SimulationError)
 def rebuild_under_load(
     system: SimEngine,
     disk: int,

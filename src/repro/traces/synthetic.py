@@ -62,6 +62,10 @@ def uniform_workload(
     name: str = "uniform",
 ) -> Trace:
     """Uniformly random single-page accesses over ``universe_pages``."""
+    if n_requests < 1:
+        raise ConfigError(f"n_requests must be >= 1, got {n_requests}")
+    if universe_pages < 1:
+        raise ConfigError(f"universe_pages must be >= 1, got {universe_pages}")
     rng = np.random.default_rng(seed)
     rec = empty_records(n_requests)
     rec["time"] = _arrival_times(rng, n_requests, iops)

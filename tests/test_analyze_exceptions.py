@@ -132,6 +132,57 @@ class TestUndeclaredRaise:
         assert findings[0].message.startswith(
             "public entry point submit()")
 
+    def test_raise_through_annotated_parameter(self, analyze_tree):
+        """``engine: Engine`` types the receiver of ``engine.submit()``."""
+        project = analyze_tree({
+            "errors.py": MINI_ERRORS,
+            "engine/core.py": """\
+                from ..errors import SimulationError, raises
+
+                class Engine:
+                    @raises(SimulationError)
+                    def submit(self, op):
+                        raise SimulationError("event in the past")
+            """,
+            "sim/api.py": """\
+                from ..engine.core import Engine
+
+                def drive(engine: Engine, ops):
+                    for op in ops:
+                        engine.submit(op)
+            """,
+        })
+        findings = check_contracts(project)
+        assert codes(findings) == ["RPR108"]
+        assert findings[0].message.startswith("public entry point drive()")
+        assert "SimulationError" in findings[0].message
+
+    def test_raise_through_self_attribute_alias(self, analyze_tree):
+        """``metrics = self.metrics`` keeps the attribute's tracked type."""
+        project = analyze_tree({
+            "errors.py": MINI_ERRORS,
+            "serve/driver.py": """\
+                from ..errors import SimulationError, raises
+
+                class Metrics:
+                    @raises(SimulationError)
+                    def assert_bounded(self):
+                        raise SimulationError("state grew")
+
+                class Driver:
+                    def __init__(self):
+                        self.metrics = Metrics()
+
+                    def run(self):
+                        metrics = self.metrics
+                        metrics.assert_bounded()
+            """,
+        })
+        findings = check_contracts(project)
+        assert codes(findings) == ["RPR108"]
+        assert findings[0].message.startswith(
+            "public entry point Driver.run()")
+
 
 class TestStructuredFlow:
     def test_caught_exception_leaves_may_raise(self, analyze_tree):
@@ -316,7 +367,7 @@ class TestRealTreeEscalationProof:
         assert declared["repro.engine.system:SimEngine.submit_request"] == \
             {"SimulationError"}
         assert declared["repro.sim.rebuild:rebuild_under_load"] == \
-            {"DegradedError"}
+            {"RaidError", "SimulationError"}
         assert declared["repro.faults.demo:demo_event_log"] == {"RaidError"}
 
     def test_real_tree_is_contract_clean(self, real_flow):

@@ -69,6 +69,29 @@ class TestSharedStream:
         assert codes(findings) == ["RPR105"]
         assert "repro.disk.model:Disk.__init__" in findings[0].message
 
+    def test_stream_shared_via_retaining_self_methods(self, analyze_tree):
+        project = analyze_tree({
+            "faults/sched.py": """\
+                import numpy as np
+
+                class Pipeline:
+                    def keep(self, rng):
+                        self.disk_rng = rng
+
+                    def keep2(self, rng):
+                        self.flash_rng = rng
+
+                    def wire(self, seed):
+                        rng = np.random.default_rng(seed)
+                        self.keep(rng)
+                        self.keep2(rng)
+            """,
+        })
+        findings = check_rng_provenance(project)
+        assert codes(findings) == ["RPR105"]
+        assert "Pipeline.keep)" in findings[0].message
+        assert "Pipeline.keep2)" in findings[0].message
+
     def test_subscript_registry_counts_as_owner(self, analyze_tree):
         project = analyze_tree({
             "faults/sched.py": """\

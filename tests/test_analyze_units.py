@@ -156,6 +156,23 @@ class TestTaintAcrossCalls:
         assert [f.code for f in findings] == ["RPR104"]
         assert findings[0].relpath == "sim/api.py"
 
+    def test_self_method_arg_conflict(self, analyze_tree):
+        """``self.fill(size_bytes)`` binds past ``self`` to ``npages``."""
+        project = analyze_tree({
+            "cache/buffer.py": """\
+                class Buffer:
+                    def fill(self, npages):
+                        return npages
+
+                    def load(self, size_bytes):
+                        return self.fill(size_bytes)
+            """,
+        })
+        findings = check_units(project)
+        assert codes(findings) == ["RPR104"]
+        assert "parameter 'npages' (pages) of Buffer.fill()" in \
+            findings[0].message
+
     def test_matching_units_are_silent(self, analyze_tree):
         project = analyze_tree({
             "sim/api.py": """\

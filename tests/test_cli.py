@@ -173,3 +173,30 @@ class TestServeCommand:
         assert cli_main(["serve", "--plans", "static,bogus"]) == 2
         assert "kdd-repro serve: unknown plans ['bogus']" in \
             capsys.readouterr().err
+
+
+class TestSweepCommandInputs:
+    @pytest.mark.parametrize("argv", [
+        ["run", "table1"], ["faults"], ["reliability"], ["serve"],
+    ])
+    def test_every_sweep_command_rejects_zero_jobs(self, capsys, argv):
+        assert cli_main([*argv, "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == \
+            f"kdd-repro {argv[0]}: jobs must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["faults", "--universe-pages", "0"],
+         "kdd-repro faults: universe_pages must be >= 1, got 0\n"),
+        (["faults", "--requests", "-5"],
+         "kdd-repro faults: n_requests must be >= 1, got -5\n"),
+        (["faults", "--requests", "0"],
+         "kdd-repro faults: n_requests must be >= 1, got 0\n"),
+        (["reliability", "--universe-pages", "0"],
+         "kdd-repro reliability: universe_pages must be >= 1, got 0\n"),
+        (["reliability", "--universe-pages", "-4"],
+         "kdd-repro reliability: universe_pages must be >= 1, got -4\n"),
+    ], ids=["faults-universe-0", "faults-requests-neg", "faults-requests-0",
+            "reliability-universe-0", "reliability-universe-neg"])
+    def test_empty_workload_sizes_exit_2(self, capsys, argv, message):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == message
