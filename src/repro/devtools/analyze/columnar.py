@@ -13,7 +13,9 @@ The per-value lattice is a :class:`Col`: a canonical dtype name (or
 carries *index taint* (an LBA / page-address / epoch column, which
 must stay 64-bit integer end-to-end), and whether a float value has
 passed through an explicit rounding step (the RPR302 safe-cast token).
-Branches merge by agreement, exactly like the RPR104 unit lattice —
+The statement walk is the analyzer's one
+:class:`~repro.devtools.analyze.project.FlowWalker`, shared with RPR104
+and RPR105; the ``Col`` join keeps a dtype only where branches agree —
 conservative on purpose, because the pass gates CI.
 
 Declared contracts come from :func:`repro.contracts.columnar`:
@@ -63,7 +65,15 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 
-from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
+from .project import (
+    Finding,
+    FlowWalker,
+    FuncInfo,
+    ModuleInfo,
+    Project,
+    finding_at,
+    scope_nodes,
+)
 from .unitflow import unit_of_name
 
 # -- contract configuration --------------------------------------------------
@@ -364,7 +374,7 @@ def _literal_str_dict(node: ast.expr | None) -> dict[str, str] | None:
 # -- the per-function walker --------------------------------------------------
 
 
-class _FunctionCols:
+class _FunctionCols(FlowWalker):
     """One forward dtype/shape pass over a function body."""
 
     def __init__(
@@ -375,12 +385,12 @@ class _FunctionCols:
         decl: Decl | None,
         hot: bool,
     ) -> None:
+        super().__init__()
         self.analysis = analysis
         self.mod = mod
         self.func = func
         self.decl = decl
         self.hot = hot
-        self.env: dict[str, Col] = {}
 
     # -- reporting -----------------------------------------------------------
 
@@ -857,29 +867,15 @@ class _FunctionCols:
 
     # -- statements ----------------------------------------------------------
 
-    def run(self, body: list[ast.stmt]) -> None:
-        self._block(body)
+    missing = UNKNOWN
 
-    def _block(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
+    def join(self, a: Col, b: Col) -> Col:
+        return _merge_col(a, b)
 
-    def _merge(self, before: dict[str, Col], *branches: dict[str, Col]) -> None:
-        merged: dict[str, Col] = {}
-        keys: set[str] = set(before)
-        for env in branches:
-            keys |= set(env)
-        for key in sorted(keys):
-            cols = [env.get(key, UNKNOWN) for env in branches] or [
-                before.get(key, UNKNOWN)
-            ]
-            result = cols[0]
-            for col in cols[1:]:
-                result = _merge_col(result, col)
-            merged[key] = result
-        self.env = merged
+    def expr(self, expr: ast.expr) -> None:
+        self.col_of(expr)
 
-    def _stmt(self, stmt: ast.stmt) -> None:
+    def simple(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
             self._handle_assign(stmt.targets, stmt.value, stmt)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
@@ -888,49 +884,12 @@ class _FunctionCols:
             self._aug_assign(stmt)
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
             self._check_return(stmt)
-        elif isinstance(stmt, ast.If):
-            self.col_of(stmt.test)
-            before = dict(self.env)
-            self._block(stmt.body)
-            then_env = self.env
-            self.env = dict(before)
-            self._block(stmt.orelse)
-            self._merge(before, then_env, self.env)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._for_stmt(stmt)
-        elif isinstance(stmt, ast.While):
-            self.col_of(stmt.test)
-            before = dict(self.env)
-            self._block(stmt.body)
-            self._block(stmt.orelse)
-            self._merge(before, before, self.env)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self.col_of(item.context_expr)
-            self._block(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            before = dict(self.env)
-            self._block(stmt.body)
-            envs = [self.env]
-            for handler in stmt.handlers:
-                self.env = dict(before)
-                self._block(handler.body)
-                envs.append(self.env)
-            self._merge(before, *envs)
-            self._block(stmt.orelse)
-            self._block(stmt.finalbody)
-        elif isinstance(stmt, ast.Expr):
-            self.col_of(stmt.value)
-        elif isinstance(
+        elif not isinstance(
             stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return  # nested scopes are analysed separately
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self.col_of(child)
+        ):  # nested scopes are analysed separately
+            super().simple(stmt)
 
-    def _for_stmt(self, stmt: ast.For | ast.AsyncFor) -> None:
+    def loop_head(self, stmt: ast.For | ast.AsyncFor) -> None:
         iter_col = self.col_of(stmt.iter)
         if (
             self.hot
@@ -946,16 +905,12 @@ class _FunctionCols:
                 f"first, or allowlist the function in "
                 f"repro.devtools.analyze.columnar.HOT_ALLOWLIST",
             )
-        before = dict(self.env)
         if isinstance(stmt.target, ast.Name):
             elem = Col(
                 dtype=None if iter_col.dtype == "record" else iter_col.dtype,
                 index=iter_col.index,
             )
             self.env[stmt.target.id] = elem
-        self._block(stmt.body)
-        self._block(stmt.orelse)
-        self._merge(before, before, self.env)
 
     def _aug_assign(self, stmt: ast.AugAssign) -> None:
         value_col = self.col_of(stmt.value)
@@ -1172,9 +1127,7 @@ class ColumnarAnalysis:
             )
             return None
         decl = Decl(func_id=func.id, node=dec, shapes=dict(shapes))
-        args = func.node.args
-        params = {a.arg for a in [*args.posonlyargs, *args.args,
-                                  *args.kwonlyargs]}
+        params = {a.arg for a in func.params}
         for name, text in dtypes.items():
             spec = parse_spec(text)
             if spec is None:
@@ -1239,7 +1192,7 @@ class ColumnarAnalysis:
                 if func is None:
                     continue
                 walker = _FunctionCols(self, mod, func, None, hot=False)
-                for node in ast.walk(method):
+                for node in scope_nodes(method):
                     if not isinstance(node, ast.Assign):
                         continue
                     for tgt in node.targets:
@@ -1260,8 +1213,7 @@ class ColumnarAnalysis:
 
     def _seed_params(self, walker: _FunctionCols, func: FuncInfo,
                      decl: Decl | None) -> None:
-        args = func.node.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+        for arg in func.params:
             col = Col(index=is_index_name(arg.arg))
             ann = arg.annotation
             if isinstance(ann, ast.Attribute) and ann.attr == "ndarray":
@@ -1285,7 +1237,7 @@ class ColumnarAnalysis:
                 self, mod, func, decl, hot=mod.name in HOT_MODULES
             )
             self._seed_params(walker, func, decl)
-            walker.run(list(func.node.body))
+            walker.block(func.node.body)
         return sorted(self.findings, key=Finding.sort_key)
 
 

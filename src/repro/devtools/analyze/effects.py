@@ -16,8 +16,9 @@ the functions it calls, and enforces two contract families on top:
 
 Reachability follows :meth:`Project.callees
 <repro.devtools.analyze.project.Project.callees>`, the analyzer's one
-call model.  Mutating calls on module state fall back to a method-name
-heuristic (:data:`MUTATING_METHODS`).
+call model, and each function also reaches the ``def``s nested in it (a
+closure runs wherever it is handed on).  Mutating calls on module state
+fall back to a method-name heuristic (:data:`MUTATING_METHODS`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 
-from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
+from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at, scope_nodes
 
 # -- contract configuration --------------------------------------------------
 
@@ -97,21 +98,6 @@ _SUB = "[]"
 # -- intraprocedural extraction ----------------------------------------------
 
 
-def _shallow_walk(node: ast.AST) -> list[ast.AST]:
-    """Walk a function body without entering nested defs/lambdas/classes."""
-    out: list[ast.AST] = []
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        cur = stack.pop()
-        out.append(cur)
-        for child in ast.iter_child_nodes(cur):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda, ast.ClassDef)):
-                continue
-            stack.append(child)
-    return out
-
-
 def _chain(expr: ast.expr) -> tuple[ast.AST, list[str]]:
     """Decompose an Attribute/Subscript chain into (root, parts).
 
@@ -150,7 +136,7 @@ class _FuncVisitor:
         self.func = func
         self.mod: ModuleInfo = project.modules[func.module]
         self.eff = FuncEffects()
-        self.nodes = _shallow_walk(func.node)
+        self.nodes = list(scope_nodes(func.node))
         self._collect_scopes()
         self._collect_decorators()
         for node in self.nodes:
@@ -160,10 +146,8 @@ class _FuncVisitor:
 
     def _collect_scopes(self) -> None:
         self.globals_decl: set[str] = set()
-        self.locals: set[str] = set()
+        self.locals = {arg.arg for arg in self.func.params}
         args = self.func.node.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            self.locals.add(arg.arg)
         if args.vararg is not None:
             self.locals.add(args.vararg.arg)
         if args.kwarg is not None:
@@ -204,6 +188,11 @@ class _FuncVisitor:
                 self._write_target(target)
         elif isinstance(node, ast.Call):
             self._handle_call(node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # A nested def runs wherever the function hands it on (a
+            # callback, a scheduled closure): reaching one reaches both.
+            if node is not self.func.node:
+                self.eff.callees.append(f"{self.func.id}.<locals>.{node.name}")
 
     # -- write targets -------------------------------------------------------
 
@@ -343,7 +332,7 @@ class EffectAnalysis:
         """
         aliases: dict[str, list[str]] = {}
         out: list[tuple[list[str], int, int, bool]] = []
-        nodes = _shallow_walk(func.node)
+        nodes = list(scope_nodes(func.node))
         for node in nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
                     isinstance(node.targets[0], ast.Name) and \
@@ -440,7 +429,7 @@ class EffectAnalysis:
         visited: set[tuple[str, str]] = set()
         mod = self._mod_of(entry)
         origin = f"{entry.qualname}()"
-        param_names = [a.arg for a in entry.node.args.args]
+        param_names = [a.arg for a in entry.params]
         if not param_names:
             return []
         root = param_names[0]

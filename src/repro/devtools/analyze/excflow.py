@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 
-from .project import Finding, FuncInfo, Project, finding_at
+from .project import Finding, FuncInfo, Project, finding_at, scope_nodes
 
 ERRORS_MODULE = "repro.errors"
 ROOT_ERROR = f"{ERRORS_MODULE}:ReproError"
@@ -118,18 +118,13 @@ class ExceptionFlow:
     # -- structured body evaluation ------------------------------------------
 
     def _expr_calls(self, func: FuncInfo, node: ast.AST) -> set[str]:
-        """May-raise contribution of calls in an expression subtree."""
+        """May-raise contribution of calls in an expression subtree
+        (deferred bodies, such as a lambda's, don't raise here)."""
         out: set[str] = set()
-        stack: list[ast.AST] = [node]
-        while stack:
-            cur = stack.pop()
-            if isinstance(cur, (ast.Lambda, ast.FunctionDef,
-                                ast.AsyncFunctionDef, ast.ClassDef)):
-                continue  # deferred bodies don't raise here
+        for cur in scope_nodes(node):
             if isinstance(cur, ast.Call):
                 for callee in self.project.callees(func, cur):
                     out |= self.may_raise.get(callee, set())
-            stack.extend(ast.iter_child_nodes(cur))
         return out
 
     def _block(self, func: FuncInfo, stmts: list[ast.stmt],

@@ -6,7 +6,10 @@ consumes one :class:`Project` built from a single parse of the tree and
 reports :class:`Finding` records.  Construction is deterministic: files
 are loaded in sorted order and every exposed collection iterates in
 sorted order, so analysis output is invariant under file-discovery
-order (a property pinned by a hypothesis test).
+order (a property pinned by a hypothesis test).  Every analysis reads
+calls through :meth:`Project.callees`, a function's own nodes through
+:func:`scope_nodes`, its statements through :class:`FlowWalker`, and
+imported names through ``ModuleInfo.bindings``.
 
 Module naming
 -------------
@@ -20,8 +23,12 @@ directory somewhere on the path for the same rule to apply.
 from __future__ import annotations
 
 import ast
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path, PurePosixPath
+from typing import Any
 
 from ...errors import ConfigError
 
@@ -177,6 +184,13 @@ class FuncInfo:
         return self.node.name
 
     @property
+    def params(self) -> list[ast.arg]:
+        """Named parameters in order: positional-only, positional, then
+        keyword-only (``*args`` and ``**kwargs`` are not included)."""
+        args = self.node.args
+        return [*args.posonlyargs, *args.args, *args.kwonlyargs]
+
+    @property
     def class_id(self) -> str:
         """The owning class's id, "" for plain functions."""
         return f"{self.module}:{self.class_name}" if self.class_name else ""
@@ -224,6 +238,34 @@ def finding_at(
 ) -> Finding:
     """Build a Finding anchored at a source line of ``mod``."""
     return Finding(mod.path, mod.relpath, line, col, code, message)
+
+
+#: Nodes whose body is a scope of its own.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def scope_nodes(node: ast.AST) -> Iterator[ast.AST]:
+    """``node`` and every node that runs in its scope, breadth-first.
+
+    This is the analyzer's one body walk.  Like :func:`ast.walk` it
+    yields siblings in source order, but it does not enter the body of a
+    ``def``, ``lambda`` or ``class`` below ``node``: a nested ``def`` is
+    its own :class:`FuncInfo`, and no nested body runs where it is
+    written.  The nested node itself is yielded, with the parts the
+    enclosing scope evaluates (decorators, defaults, annotations, bases).
+    """
+    todo: deque[ast.AST] = deque([node])
+    while todo:
+        cur = todo.popleft()
+        yield cur
+        nested = cur is not node and isinstance(cur, _SCOPES)
+        for name, value in ast.iter_fields(cur):
+            if nested and name == "body":
+                continue
+            if isinstance(value, ast.AST):
+                todo.append(value)
+            elif isinstance(value, list):
+                todo.extend(v for v in value if isinstance(v, ast.AST))
 
 
 def _module_name(relpath: str) -> str:
@@ -406,11 +448,8 @@ class Project:
                 if isinstance(node, ast.Import):
                     for alias in node.names:
                         bound = alias.asname or alias.name.split(".")[0]
-                        if kind == EDGE_TOP:
-                            mod.bindings.setdefault(
-                                bound,
-                                Binding(alias.name, "", node.lineno, kind),
-                            )
+                        mod.bindings.setdefault(
+                            bound, Binding(alias.name, "", node.lineno, kind))
                         if alias.name in self.modules:
                             edges.append(ImportEdge(
                                 mod.name, alias.name, node.lineno,
@@ -463,18 +502,11 @@ class Project:
         info = FuncInfo(module=mod.name, qualname=qualname, node=node,
                         class_name=class_name)
         self.functions[info.id] = info
-        nested_prefix = f"{qualname}.<locals>."
-        for stmt in node.body:
-            self._index_nested(mod, stmt, nested_prefix, class_name)
-
-    def _index_nested(self, mod: ModuleInfo, stmt: ast.stmt, prefix: str,
-                      class_name: str) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._index_function(mod, stmt, prefix, class_name)
-            return
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                self._index_nested(mod, child, prefix, class_name)
+        for inner in scope_nodes(node):
+            if inner is not node and \
+                    isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._index_function(mod, inner, f"{qualname}.<locals>.",
+                                     class_name)
 
     def _index_class(self, mod: ModuleInfo, node: ast.ClassDef) -> None:
         info = ClassInfo(name=node.name, module=mod.name, node=node)
@@ -493,7 +525,7 @@ class Project:
         """Record ``self.x = Cls(...)`` constructions as attribute types."""
         mod = self.modules[info.module]
         for method in info.methods.values():
-            for node in ast.walk(method):
+            for node in scope_nodes(method):
                 if not isinstance(node, ast.Assign):
                     continue
                 value = node.value
@@ -540,19 +572,8 @@ class Project:
         self, mod: ModuleInfo, expr: ast.expr
     ) -> ClassInfo | None:
         """Resolve a Name/Attribute expression to a project class."""
-        if isinstance(expr, ast.Name):
-            resolved = self._chase(mod.name, expr.id)
-            if resolved is not None and resolved in self.classes:
-                return self.classes[resolved]
-            return None
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            binding = mod.bindings.get(expr.value.id)
-            if binding is not None and binding.symbol == "" \
-                    and binding.module in self.modules:
-                resolved = self._chase(binding.module, expr.attr)
-                if resolved is not None and resolved in self.classes:
-                    return self.classes[resolved]
-        return None
+        resolved = self.resolve_func_expr(mod, expr)
+        return self.classes.get(resolved) if resolved is not None else None
 
     def _chase(self, module: str, name: str,
                _seen: frozenset[tuple[str, str]] = frozenset()) -> str | None:
@@ -704,14 +725,13 @@ class Project:
         types = self._types[func.id] = {}
         if func.class_id:
             types["self"] = {func.class_id}
-        args = func.node.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+        for arg in func.params:
             cls = self.resolve_class_expr(mod, arg.annotation) \
                 if arg.annotation is not None else None
             if cls is not None:
                 types.setdefault(arg.arg, set()).add(cls.id)
         binds: list[tuple[list[ast.expr], ast.expr]] = []
-        for node in ast.walk(func.node):
+        for node in scope_nodes(func.node):
             if isinstance(node, ast.Assign):
                 binds.append((node.targets, node.value))
             elif isinstance(node, ast.NamedExpr):
@@ -739,8 +759,8 @@ class Project:
         ``**kwargs`` under that name.
         """
         func = self.functions[callee]
-        args = func.node.args
-        params = [a.arg for a in (*args.posonlyargs, *args.args)]
+        positional = len(func.params) - len(func.node.args.kwonlyargs)
+        params = [a.arg for a in func.params[:positional]]
         if func.class_name and params and params[0] in ("self", "cls"):
             params = params[1:]
         bound: dict[str, ast.expr] = {}
@@ -777,3 +797,88 @@ class Project:
         else:
             root = binding.module
         return ".".join([root, *reversed(attrs)])
+
+
+class FlowWalker:
+    """The analyzer's one forward walk over a scope's statements.
+
+    ``env`` maps each name to what the analysis knows about its value.
+    ``if`` arms and ``try`` handlers each start from the state before
+    them and merge name by name through :meth:`join`, a name one side
+    lacks counting as :attr:`missing`; a loop body runs once and then
+    merges with the state from before the loop.  An analysis keeps only
+    its lattice and its hooks: :meth:`expr` sees each expression that
+    control flow evaluates (a test, an iterable, a context manager),
+    :meth:`loop_head` a ``for`` head, and :meth:`simple` every other
+    statement, a nested ``def`` or ``class`` included.
+    """
+
+    #: The value of a name one branch never bound.
+    missing: Any = None
+
+    def __init__(self) -> None:
+        self.env: dict[str, Any] = {}
+
+    def join(self, a: Any, b: Any) -> Any:
+        """A name's value after branches that left it ``a`` and ``b``."""
+        raise NotImplementedError
+
+    def expr(self, expr: ast.expr) -> None:
+        """Check an expression that control flow evaluates."""
+
+    def loop_head(self, stmt: ast.For | ast.AsyncFor) -> None:
+        """Evaluate a ``for`` iterable and bind its target."""
+        self.expr(stmt.iter)
+
+    def simple(self, stmt: ast.stmt) -> None:
+        """Handle a statement with no control flow of its own (by
+        default, :meth:`expr` each expression it holds)."""
+        for child in ast.iter_child_nodes(stmt):
+            if isinstance(child, ast.expr):
+                self.expr(child)
+
+    def block(self, body: list[ast.stmt]) -> None:
+        for stmt in body:
+            self.stmt(stmt)
+
+    def stmt(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.If):
+            self.expr(stmt.test)
+            before = dict(self.env)
+            self.block(stmt.body)
+            taken = self.env
+            self.env = before
+            self.block(stmt.orelse)
+            self.merge(taken, self.env)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+            before = dict(self.env)
+            if isinstance(stmt, ast.While):
+                self.expr(stmt.test)
+            else:
+                self.loop_head(stmt)
+            self.block(stmt.body)
+            self.block(stmt.orelse)
+            self.merge(before, self.env)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                self.expr(item.context_expr)
+            self.block(stmt.body)
+        elif isinstance(stmt, ast.Try):
+            before = dict(self.env)
+            self.block(stmt.body)
+            branches = [self.env]
+            for handler in stmt.handlers:
+                self.env = dict(before)
+                self.block(handler.body)
+                branches.append(self.env)
+            self.merge(*branches)
+            self.block(stmt.orelse)
+            self.block(stmt.finalbody)
+        else:
+            self.simple(stmt)
+
+    def merge(self, *branches: dict[str, Any]) -> None:
+        keys = sorted(set().union(*branches))
+        self.env = {key: reduce(self.join, (env.get(key, self.missing)
+                                            for env in branches))
+                    for key in keys}

@@ -6,7 +6,9 @@ sweep cell) and never shared.  Two devices drawing from one stream
 couple their fault schedules — results then depend on service order,
 which is exactly the nondeterminism the engine is built to exclude.
 
-This analysis tracks stream values intraprocedurally:
+This analysis tracks stream values intraprocedurally, in flow order
+(:class:`~repro.devtools.analyze.project.FlowWalker`): each name holds
+the set of streams it may refer to, and branches merge by union.
 
 * A *stream* is born at a ``numpy.random`` constructor call
   (``default_rng``, ``Generator``, ``PCG64``, ...), at a call to a
@@ -37,7 +39,15 @@ from __future__ import annotations
 
 import ast
 
-from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
+from .project import (
+    Finding,
+    FlowWalker,
+    FuncInfo,
+    ModuleInfo,
+    Project,
+    finding_at,
+    scope_nodes,
+)
 
 #: numpy.random constructors that yield a stream object.
 RNG_CTORS = frozenset(f"numpy.random.{name}" for name in (
@@ -78,7 +88,7 @@ class _Summaries:
                 "__post_init__")
             if init is None:
                 continue
-            for node in ast.walk(init):
+            for node in scope_nodes(init):
                 if isinstance(node, ast.Call) and \
                         project.external_name(mod, node.func) in RNG_CTORS:
                     stream_classes.add(cls.id)
@@ -103,7 +113,7 @@ class _Summaries:
                 if isinstance(ann, ast.Attribute) and ann.attr == "Generator":
                     returns.add(func.id)
                     continue
-            for node in ast.walk(func.node):
+            for node in scope_nodes(func.node):
                 if isinstance(node, ast.Return) and node.value is not None \
                         and isinstance(node.value, ast.Call):
                     if project.external_name(mod, node.value.func) in \
@@ -116,18 +126,15 @@ class _Summaries:
         # Pass 3: retained parameters (stored to self.*, an attribute,
         # or a subscript anywhere in the body).
         for func in project.functions.values():
-            params = {a.arg for a in func.node.args.args}
-            params |= {a.arg for a in func.node.args.kwonlyargs}
-            params.discard("self")
-            retained: set[str] = set()
-            for node in ast.walk(func.node):
-                if not isinstance(node, ast.Assign):
-                    continue
-                if isinstance(node.value, ast.Name) and \
-                        node.value.id in params:
-                    for tgt in node.targets:
-                        if isinstance(tgt, (ast.Attribute, ast.Subscript)):
-                            retained.add(node.value.id)
+            params = {a.arg for a in func.params} - {"self"}
+            retained = {
+                node.value.id for node in scope_nodes(func.node)
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in params
+                and any(isinstance(tgt, (ast.Attribute, ast.Subscript))
+                        for tgt in node.targets)
+            }
             if retained:
                 self.retained_params[func.id] = retained
 
@@ -140,7 +147,7 @@ class _Summaries:
                 if func.id in self.hashing_funcs:
                     continue
                 mod = project.modules[func.module]
-                for node in ast.walk(func.node):
+                for node in scope_nodes(func.node):
                     if not isinstance(node, ast.Call):
                         continue
                     if project.external_name(mod, node.func) == SHA256 or \
@@ -190,52 +197,14 @@ class RngFlow:
 
     def _check_function(self, func: FuncInfo) -> None:
         mod = self.project.modules[func.module]
-        streams: dict[str, tuple[int, int]] = {}  # var -> birth (line, col)
-        names: dict[tuple[int, int], str] = {}  # birth -> first var name
-        sinks: dict[tuple[int, int], list[tuple[int, str]]] = {}
-
-        def sink(var: str, node: ast.AST, what: str) -> None:
-            birth = streams[var]
-            sinks.setdefault(birth, []).append(
-                (getattr(node, "lineno", 1), what))
-
-        for node in ast.walk(func.node):
-            if isinstance(node, ast.Assign):
-                value = node.value
-                if isinstance(value, ast.Call) and \
-                        self._is_stream_call(mod, func, value):
-                    birth = (value.lineno, value.col_offset)
-                    for tgt in node.targets:
-                        if isinstance(tgt, ast.Name):
-                            streams[tgt.id] = birth
-                            names.setdefault(birth, tgt.id)
-                        elif isinstance(tgt, (ast.Attribute, ast.Subscript)):
-                            pass  # direct store: one construction, one owner
-                elif isinstance(value, ast.Name) and value.id in streams:
-                    # aliasing: the alias is the same stream object
-                    for tgt in node.targets:
-                        if isinstance(tgt, ast.Name):
-                            streams[tgt.id] = streams[value.id]
-                        elif isinstance(tgt, (ast.Attribute, ast.Subscript)):
-                            sink(value.id, node, "stored")
-            elif isinstance(node, ast.Call):
-                owners: dict[ast.expr, str] = {}
-                for callee in self.project.callees(func, node):
-                    kept = self.summaries.retained_params.get(callee, ())
-                    bound = self.project.bind_args(callee, node)
-                    for param, arg in bound.items():
-                        if param in kept and isinstance(arg, ast.Name) \
-                                and arg.id in streams:
-                            owners.setdefault(arg, callee)
-                for arg, callee in owners.items():
-                    sink(arg.id, node, f"passed to {callee}")
-
-        for birth in sorted(sinks):
-            events = sorted(sinks[birth])
+        streams = _Streams(self, func)
+        streams.block(func.node.body)
+        for birth in sorted(streams.sinks):
+            events = sorted(streams.sinks[birth])
             if len(events) < 2:
                 continue
             line, col = birth
-            var = names.get(birth, "<stream>")
+            var = streams.names.get(birth, "<stream>")
             where = ", ".join(f"line {ln} ({what})" for ln, what in events)
             self.findings.append(finding_at(
                 mod, line, col, "RPR105",
@@ -267,9 +236,9 @@ class RngFlow:
             return
         # Intraprocedural name taint: locals assigned from a hashed
         # expression carry the derivation, to a fixed point (assignment
-        # chains need not appear in source order under ast.walk).
+        # chains need not appear in source order in a breadth-first walk).
         tainted: set[str] = set()
-        assigns = [n for n in ast.walk(func.node)
+        assigns = [n for n in scope_nodes(func.node)
                    if isinstance(n, ast.Assign)]
         changed = True
         while changed:
@@ -281,7 +250,7 @@ class RngFlow:
                     if isinstance(tgt, ast.Name) and tgt.id not in tainted:
                         tainted.add(tgt.id)
                         changed = True
-        for node in ast.walk(func.node):
+        for node in scope_nodes(func.node):
             if not (isinstance(node, ast.Call) and self.project.external_name(
                     mod, node.func) in RNG_CTORS):
                 continue
@@ -309,6 +278,80 @@ class RngFlow:
             self._check_function(func)
             self._check_seed_provenance(func)
         return sorted(self.findings, key=Finding.sort_key)
+
+
+class _Streams(FlowWalker):
+    """RPR105's walk over one function body.
+
+    Each name holds the births (``(line, col)`` of the constructing
+    call) of the streams it may refer to; branches merge by union.  A
+    store into an attribute or a subscript, or an argument a callee
+    retains, is a sink of every birth its value may hold.
+    """
+
+    missing: frozenset[tuple[int, int]] = frozenset()
+
+    def __init__(self, flow: RngFlow, func: FuncInfo) -> None:
+        super().__init__()
+        self.flow, self.func = flow, func
+        self.mod = flow.project.modules[func.module]
+        #: birth -> the first name it was bound to.
+        self.names: dict[tuple[int, int], str] = {}
+        #: birth -> (line, what) of each sink it reaches.
+        self.sinks: dict[tuple[int, int], list[tuple[int, str]]] = {}
+
+    def join(self, a: frozenset, b: frozenset) -> frozenset:
+        return a | b
+
+    def _sink(self, value: ast.expr, line: int, what: str) -> None:
+        if isinstance(value, ast.Name):
+            for birth in self.env.get(value.id, ()):
+                self.sinks.setdefault(birth, []).append((line, what))
+
+    def expr(self, node: ast.AST) -> None:
+        """Record each call under ``node`` (an expression or a whole
+        statement) that passes a stream to a retaining callee as a sink."""
+        project = self.flow.project
+        for call in scope_nodes(node):
+            if not isinstance(call, ast.Call):
+                continue
+            owners: dict[ast.expr, str] = {}
+            for callee in project.callees(self.func, call):
+                kept = self.flow.summaries.retained_params.get(callee, ())
+                for param, arg in project.bind_args(callee, call).items():
+                    if param in kept:
+                        owners.setdefault(arg, callee)
+            for arg, callee in owners.items():
+                self._sink(arg, call.lineno, f"passed to {callee}")
+
+    def loop_head(self, stmt: ast.For | ast.AsyncFor) -> None:
+        self.expr(stmt.iter)
+        if isinstance(stmt.target, ast.Name):
+            self.env[stmt.target.id] = self.missing
+
+    def simple(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            return  # a nested body is a scope of its own
+        self.expr(stmt)
+        if not isinstance(stmt, ast.Assign):
+            return
+        value = stmt.value
+        if isinstance(value, ast.Call) and self.flow._is_stream_call(
+                self.mod, self.func, value):
+            births = frozenset({(value.lineno, value.col_offset)})
+        elif isinstance(value, ast.Name):  # an alias: the same stream
+            births = self.env.get(value.id, self.missing)
+        else:
+            births = self.missing
+        for tgt in stmt.targets:
+            if isinstance(tgt, ast.Name):
+                self.env[tgt.id] = births
+                for birth in births:
+                    self.names.setdefault(birth, tgt.id)
+            elif isinstance(tgt, (ast.Attribute, ast.Subscript)):
+                # an owner (a construction stored directly has no other)
+                self._sink(value, stmt.lineno, "stored")
 
 
 def check_rng_provenance(project: Project) -> list[Finding]:

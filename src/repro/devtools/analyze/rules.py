@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 
-from .project import Finding, ModuleInfo, Project, finding_at
+from .project import Finding, ModuleInfo, Project, finding_at, scope_nodes
 
 #: Module directories (relative to the ``repro`` package root) that
 #: hold *simulation* code, where wall-clock time is banned outright.
@@ -46,7 +46,8 @@ class Rule(ast.NodeVisitor):
 
     code: str = ""
 
-    def __init__(self, mod: ModuleInfo) -> None:
+    def __init__(self, project: Project, mod: ModuleInfo) -> None:
+        self.project = project
         self.mod = mod
         self.findings: list[Finding] = []
 
@@ -69,51 +70,6 @@ def _in_dirs(relpath: str, dirs: tuple[str, ...]) -> bool:
     return relpath.split("/", 1)[0] in dirs
 
 
-class _ImportTracker(Rule):
-    """Rule helper that tracks module aliases and from-imports."""
-
-    def __init__(self, mod: ModuleInfo) -> None:
-        super().__init__(mod)
-        # alias -> dotted module name, e.g. {"np": "numpy", "time": "time"}
-        self.modules: dict[str, str] = {}
-        # local name -> "module.attr", e.g. {"perf_counter": "time.perf_counter"}
-        self.names: dict[str, str] = {}
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.modules[alias.asname or alias.name] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module and node.level == 0:
-            for alias in node.names:
-                self.names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-        self.generic_visit(node)
-
-    def resolve_call(self, node: ast.Call) -> str | None:
-        """Dotted name of a call target, resolved through imports.
-
-        ``np.random.rand(...)`` -> ``"numpy.random.rand"`` when ``np``
-        aliases numpy; ``perf_counter()`` -> ``"time.perf_counter"``
-        after ``from time import perf_counter``.  Returns ``None`` for
-        targets that are not import-rooted (locals, methods on
-        objects).
-        """
-        parts: list[str] = []
-        cur: ast.expr = node.func
-        while isinstance(cur, ast.Attribute):
-            parts.append(cur.attr)
-            cur = cur.value
-        if not isinstance(cur, ast.Name):
-            return None
-        parts.reverse()
-        if cur.id in self.modules:
-            return ".".join([self.modules[cur.id], *parts])
-        if cur.id in self.names:
-            return ".".join([self.names[cur.id], *parts])
-        return None
-
-
 #: numpy.random attributes that construct *seedable* generators (fine
 #: to call; RPR001 separately checks default_rng's arguments).
 _NP_SEEDABLE = frozenset(
@@ -122,7 +78,7 @@ _NP_SEEDABLE = frozenset(
 )
 
 
-class UnseededRandomness(_ImportTracker):
+class UnseededRandomness(Rule):
     """Global or unseeded randomness (random.*, legacy np.random.*
     globals, default_rng() without a seed) breaks cross-run and
     cross-worker reproducibility; thread an explicit seed or
@@ -132,7 +88,7 @@ class UnseededRandomness(_ImportTracker):
     code = "RPR001"
 
     def visit_Call(self, node: ast.Call) -> None:
-        target = self.resolve_call(node)
+        target = self.project.external_name(self.mod, node.func)
         if target is not None:
             self._check(node, target)
         self.generic_visit(node)
@@ -178,7 +134,7 @@ _WALL_CLOCK = frozenset(
 )
 
 
-class WallClock(_ImportTracker):
+class WallClock(Rule):
     """Simulation modules must be pure functions of their inputs:
     reading the wall clock (time.time, perf_counter, datetime.now)
     makes results run-dependent.  Simulated time comes from the
@@ -192,7 +148,7 @@ class WallClock(_ImportTracker):
         return _in_dirs(relpath, SIM_DIRS)
 
     def visit_Call(self, node: ast.Call) -> None:
-        target = self.resolve_call(node)
+        target = self.project.external_name(self.mod, node.func)
         if target in _WALL_CLOCK:
             self.report(
                 node,
@@ -266,8 +222,8 @@ class SetIteration(Rule):
 
     code = "RPR004"
 
-    def __init__(self, mod: ModuleInfo) -> None:
-        super().__init__(mod)
+    def __init__(self, project: Project, mod: ModuleInfo) -> None:
+        super().__init__(project, mod)
         self._scopes: list[dict[str, bool]] = [{}]
 
     # -- scope tracking -------------------------------------------------
@@ -449,15 +405,7 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     taxonomy — but raises inside functions *defined* in the handler do
     not execute when the handler runs, so nested scopes are skipped.
     """
-    stack: list[ast.AST] = list(handler.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Raise):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return False
+    return any(isinstance(node, ast.Raise) for node in scope_nodes(handler))
 
 
 class BroadExcept(Rule):
@@ -557,5 +505,5 @@ def check_rules(project: Project) -> list[Finding]:
     for mod in project.modules.values():
         for rule in RULES:
             if rule.applies_to(mod.relpath):
-                findings.extend(rule(mod).run())
+                findings.extend(rule(project, mod).run())
     return sorted(findings, key=Finding.sort_key)

@@ -13,12 +13,13 @@ iterables, ``with`` items, defaults, decorators and class bodies.  That
 covers every shape the retired lexical rule RPR007 saw.
 
 The lattice per variable is tiny: ``None`` (unknown / dimensionless)
-or one unit string.  Branches merge by agreement — a variable keeps a
-unit over an ``if``/``else`` only when both arms agree; loops process
-their body once against a copy and merge the same way.  A name whose
-spelling carries a unit keeps that unit regardless of the merge.  This
-is deliberately conservative: the analysis prefers silence to a false
-positive, because it gates CI.
+or one unit string.  The statement walk is the analyzer's one
+:class:`~repro.devtools.analyze.project.FlowWalker`; this lattice joins
+by agreement — a variable keeps a unit over an ``if``/``else`` only
+when both arms agree, and over a loop only when the body agrees with
+the state before it.  A name whose spelling carries a unit keeps that
+unit regardless of the merge.  This is deliberately conservative: the
+analysis prefers silence to a false positive, because it gates CI.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import ast
 import re
 
-from .project import Finding, FuncInfo, ModuleInfo, Project, finding_at
+from .project import Finding, FlowWalker, FuncInfo, ModuleInfo, Project, finding_at
 
 _TOKEN_SPLIT = re.compile(r"[_\W]+")
 _TOKENS = {
@@ -77,17 +78,19 @@ def unit_of_name(name: str) -> str | None:
     return hits[0]
 
 
-class _FunctionUnits:
+class _FunctionUnits(FlowWalker):
     """One forward pass over a function (or module) body."""
 
     def __init__(self, analysis: "UnitFlow", mod: ModuleInfo,
                  scope: FuncInfo | ModuleInfo) -> None:
+        super().__init__()
         self.analysis = analysis
         self.mod = mod
         self.scope = scope
         # qualname for messages, "" at module scope
         self.owner = scope.qualname if isinstance(scope, FuncInfo) else ""
-        self.env: dict[str, str | None] = {}
+        self._return_unit = unit_of_name(scope.name) \
+            if isinstance(scope, FuncInfo) else None
 
     # -- expression units ----------------------------------------------------
 
@@ -186,27 +189,18 @@ class _FunctionUnits:
 
     # -- statements ----------------------------------------------------------
 
-    def run(self, body: list[ast.stmt], return_unit: str | None) -> None:
-        self._return_unit = return_unit
-        self._block(body)
+    def join(self, a: str | None, b: str | None) -> str | None:
+        return a if a == b else None
 
-    def _block(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
+    def expr(self, expr: ast.expr) -> None:
+        self.unit_of(expr)
 
-    def _merge(self, before: dict[str, str | None],
-               *branches: dict[str, str | None]) -> None:
-        merged: dict[str, str | None] = {}
-        keys = set(before)
-        for env in branches:
-            keys |= set(env)
-        for key in sorted(keys):
-            values = {env.get(key) for env in branches} if branches \
-                else {before.get(key)}
-            merged[key] = values.pop() if len(values) == 1 else None
-        self.env = merged
+    def loop_head(self, stmt: ast.For | ast.AsyncFor) -> None:
+        self.unit_of(stmt.iter)
+        if isinstance(stmt.target, ast.Name):
+            self.env[stmt.target.id] = unit_of_name(stmt.target.id)
 
-    def _stmt(self, stmt: ast.stmt) -> None:
+    def simple(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
             unit = self.unit_of(stmt.value)
             for tgt in stmt.targets:
@@ -229,50 +223,6 @@ class _FunctionUnits:
                     f"expression from a {want}-valued function; convert via "
                     f"{_hint(want, got)} first",
                 )
-        elif isinstance(stmt, ast.If):
-            self.unit_of(stmt.test)
-            before = dict(self.env)
-            self._block(stmt.body)
-            then_env = self.env
-            self.env = dict(before)
-            self._block(stmt.orelse)
-            self._merge(before, then_env, self.env)
-            return
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self.unit_of(stmt.iter)
-            before = dict(self.env)
-            if isinstance(stmt.target, ast.Name):
-                self.env[stmt.target.id] = unit_of_name(stmt.target.id)
-            self._block(stmt.body)
-            self._block(stmt.orelse)
-            self._merge(before, before, self.env)
-            return
-        elif isinstance(stmt, ast.While):
-            self.unit_of(stmt.test)
-            before = dict(self.env)
-            self._block(stmt.body)
-            self._block(stmt.orelse)
-            self._merge(before, before, self.env)
-            return
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self.unit_of(item.context_expr)
-            self._block(stmt.body)
-            return
-        elif isinstance(stmt, ast.Try):
-            before = dict(self.env)
-            self._block(stmt.body)
-            envs = [self.env]
-            for handler in stmt.handlers:
-                self.env = dict(before)
-                self._block(handler.body)
-                envs.append(self.env)
-            self._merge(before, *envs)
-            self._block(stmt.orelse)
-            self._block(stmt.finalbody)
-            return
-        elif isinstance(stmt, ast.Expr):
-            self.unit_of(stmt.value)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # The body is its own scope (analysed separately); decorators
             # and defaults are evaluated here.
@@ -287,13 +237,10 @@ class _FunctionUnits:
                 self.unit_of(expr)
             outer = self.env
             self.env = dict(outer)
-            self._block(stmt.body)
+            self.block(stmt.body)
             self.env = outer
         else:
-            # visit embedded expressions (e.g. assert) for call checks
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self.unit_of(child)
+            super().simple(stmt)  # e.g. an assert's call checks
 
     def _assign(self, target: ast.expr, unit: str | None,
                 stmt: ast.stmt) -> None:
@@ -335,21 +282,15 @@ class UnitFlow:
         col = getattr(node, "col_offset", 0)
         self.findings.append(finding_at(mod, line, col, "RPR104", message))
 
-    def _seed_params(self, walker: _FunctionUnits, func: FuncInfo) -> None:
-        args = func.node.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            walker.env[arg.arg] = unit_of_name(arg.arg)
-
     def run(self) -> list[Finding]:
         for mod in self.project.modules.values():
-            _FunctionUnits(self, mod, mod).run(mod.tree.body,
-                                              return_unit=None)
+            _FunctionUnits(self, mod, mod).block(mod.tree.body)
         for func in self.project.functions.values():
             mod = self.project.modules[func.module]
             walker = _FunctionUnits(self, mod, func)
-            self._seed_params(walker, func)
-            walker.run(list(func.node.body),
-                       return_unit=unit_of_name(func.name))
+            walker.env = {arg.arg: unit_of_name(arg.arg)
+                          for arg in func.params}
+            walker.block(func.node.body)
         return sorted(self.findings, key=Finding.sort_key)
 
 

@@ -407,6 +407,11 @@ def _reliability_command(args) -> int:
     from .relsweep import reliability_cell
     from .report import render_table
 
+    periods = _parse_rates(args.scrub_periods, "--scrub-periods")
+    fractional = [p for p in periods if not p.is_integer()]
+    if fractional:
+        raise ConfigError(f"--scrub-periods must be whole numbers of "
+                          f"accesses, got {fractional}")
     cells = [
         reliability_cell(
             cache_pages=args.cache_pages,
@@ -420,8 +425,7 @@ def _reliability_command(args) -> int:
             iops=args.iops,
             label=f"scrub={period} dirty={dirty} prio={priority}",
         )
-        for period in (int(p) for p in
-                       _parse_rates(args.scrub_periods, "--scrub-periods"))
+        for period in map(int, periods)
         for dirty in _parse_rates(args.dirty_thresholds, "--dirty-thresholds")
         for priority in _parse_rates(args.rebuild_priorities,
                                      "--rebuild-priorities")

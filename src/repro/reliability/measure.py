@@ -19,6 +19,7 @@ models; it does not affect the exposure measurement).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -132,8 +133,8 @@ def derive_params(
     vulnerability; its fraction is capped just below 1 so the rates
     stay finite — the resulting MTTDL is ~``1/(n*lam)`` either way.
     """
-    if iops <= 0:
-        raise ConfigError("iops must be > 0")
+    if not (iops > 0 and math.isfinite(iops)):
+        raise ConfigError(f"iops must be > 0 and finite, got {iops}")
     hours_per_access = 1.0 / (iops * 3600.0)
     if exposure.stale_span == 0:
         alpha = omega = 0.0

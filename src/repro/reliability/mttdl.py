@@ -65,11 +65,15 @@ class ReliabilityParams:
             raise ConfigError("need at least 2 members for a parity level")
         for name in ("disk_mttf_h", "rebuild_h", "rebuild_priority",
                      "horizon_h"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(
+                    f"{name} must be > 0 and finite, got {value}")
         for name in ("vuln_entry_per_h", "vuln_clear_per_h"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigError(
+                    f"{name} must be >= 0 and finite, got {value}")
 
     @property
     def lam(self) -> float:

@@ -96,9 +96,10 @@ class WorkloadComposer:
             raise ConfigError(
                 f"WorkloadComposer.tenants: duplicate tenant ids {dupes}"
             )
-        if not epoch_s > 0.0:
+        if not (epoch_s > 0.0 and math.isfinite(epoch_s)):
             raise ConfigError(
-                f"WorkloadComposer.epoch_s must be positive, got {epoch_s}"
+                f"WorkloadComposer.epoch_s must be positive and finite, "
+                f"got {epoch_s}"
             )
         if align_pages < 1:
             raise ConfigError(
@@ -272,10 +273,11 @@ class WorkloadComposer:
                 "WorkloadComposer.compose: one of duration_s / max_requests "
                 "is required"
             )
-        if duration_s is not None and not duration_s > 0.0:
+        if duration_s is not None and \
+                not (duration_s > 0.0 and math.isfinite(duration_s)):
             raise ConfigError(
-                f"WorkloadComposer.compose: duration_s must be positive, "
-                f"got {duration_s}"
+                f"WorkloadComposer.compose: duration_s must be positive and "
+                f"finite, got {duration_s}"
             )
         if max_requests is not None and max_requests < 1:
             raise ConfigError(

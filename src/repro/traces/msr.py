@@ -17,7 +17,7 @@ from pathlib import Path
 from ..errors import TraceFormatError
 from ..units import DEFAULT_PAGE_SIZE
 from .record import empty_records
-from .trace import Trace
+from .trace import Trace, read_trace_lines
 
 FILETIME_TICK = 1e-7  # 100 ns
 
@@ -33,11 +33,7 @@ def parse_msr(
     If ``disk_number`` is given, only requests for that volume are kept
     (the paper uses the first volume of each server, e.g. ``hm_0``).
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii", errors="replace") as fh:
-            lines = fh.readlines()
-    else:
-        lines = source.readlines()
+    lines = read_trace_lines(source)
 
     records = empty_records(len(lines))
     count = 0

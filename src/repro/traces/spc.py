@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import TraceFormatError
 from ..units import DEFAULT_PAGE_SIZE
 from .record import empty_records
-from .trace import Trace
+from .trace import Trace, read_trace_lines
 
 SECTOR_SIZE = 512
 
@@ -39,11 +39,7 @@ def parse_spc(
     asu_region_pages: int = ASU_REGION_PAGES,
 ) -> Trace:
     """Parse an SPC format trace into a page-granular :class:`Trace`."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii", errors="replace") as fh:
-            lines = fh.readlines()
-    else:
-        lines = source.readlines()
+    lines = read_trace_lines(source)
 
     n = len(lines)
     records = empty_records(n)

@@ -8,8 +8,10 @@ page size the LBAs are expressed in.  It offers vectorised statistics
 
 from __future__ import annotations
 
+import io
 from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +19,18 @@ from ..contracts import columnar
 from ..errors import ConfigError, TraceFormatError
 from ..units import DEFAULT_PAGE_SIZE
 from .record import IO_DTYPE, IORequest
+
+
+def read_trace_lines(source: str | Path | io.TextIOBase) -> list[str]:
+    """The lines of a trace file, or of an already open text stream."""
+    if not isinstance(source, (str, Path)):
+        return source.readlines()
+    try:
+        with open(source, encoding="ascii", errors="replace") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise TraceFormatError(
+            f"cannot read trace {source}: {exc.strerror or exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,31 @@ class TestSweepRaces:
         })
         assert check_effects(project) == []
 
+    def test_closure_handed_to_a_scheduler_stays_reachable(self,
+                                                           analyze_tree):
+        """A worker reaches the defs nested in it: ``fire`` only runs
+        when the scheduler calls it back."""
+        project = analyze_tree({
+            "harness/sweep.py": """\
+                _SEEN = {}
+
+                def _note(key):
+                    _SEEN[key] = 1
+
+                def _schedule(callback):
+                    return callback
+
+                def _execute_cell(cell):
+                    def fire():
+                        _note(cell)
+                    _schedule(fire)
+            """,
+        })
+        findings = check_effects(project)
+        assert [(f.code, f.line) for f in findings] == [("RPR205", 4)]
+        assert "_note() mutates module-level '_SEEN'" in findings[0].message
+        assert "repro.harness.sweep:_execute_cell" in findings[0].message
+
 
 class TestRealTree:
     def test_src_repro_is_effects_clean(self):

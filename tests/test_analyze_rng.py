@@ -187,6 +187,111 @@ class TestSharedStream:
         assert codes(check_rng_provenance(project)) == ["RPR105"]
 
 
+def located(findings):
+    return [(f.code, f.line, f.col) for f in findings]
+
+
+class TestScopeModel:
+    """RPR105/RPR111 read a function's own nodes in flow order: a nested
+    ``def`` is analysed once, as itself, and branches merge."""
+
+    def test_stream_shared_in_nested_def_is_reported_once(self,
+                                                          analyze_tree):
+        project = analyze_tree({
+            "faults/sched.py": """\
+                import numpy as np
+
+                def outer(seed, registry):
+                    def wire():
+                        rng = np.random.default_rng(seed)
+                        registry["a"] = rng
+                        registry["b"] = rng
+                    return wire
+            """,
+        })
+        findings = check_rng_provenance(project)
+        assert located(findings) == [("RPR105", 5, 14)]
+        assert "in outer.<locals>.wire()" in findings[0].message
+
+    def test_unhashed_seed_in_nested_def_is_reported_once(self,
+                                                          analyze_tree):
+        project = analyze_tree({
+            "serve/composer.py": """\
+                import numpy as np
+
+                def outer(seed):
+                    def draw():
+                        return np.random.default_rng(seed).random()
+                    return draw
+            """,
+        })
+        findings = check_rng_provenance(project)
+        assert located(findings) == [("RPR111", 5, 15)]
+        assert "in outer.<locals>.draw()" in findings[0].message
+
+    def test_nested_stream_factory_does_not_make_a_stream_factory(
+            self, analyze_tree):
+        project = analyze_tree({
+            "faults/sched.py": """\
+                import numpy as np
+
+                def make_count():
+                    def fresh():
+                        return np.random.default_rng(1)
+                    return 5
+
+                def build(registry):
+                    n = make_count()
+                    registry["a"] = n
+                    registry["b"] = n
+            """,
+        })
+        assert check_rng_provenance(project) == []
+
+    def test_stream_built_on_both_arms_then_shared(self, analyze_tree):
+        project = analyze_tree({
+            "faults/sched.py": """\
+                import numpy as np
+
+                def build(flag, registry):
+                    if flag:
+                        rng = np.random.default_rng(1)
+                    else:
+                        rng = np.random.default_rng(2)
+                    registry["a"] = rng
+                    registry["b"] = rng
+            """,
+        })
+        findings = check_rng_provenance(project)
+        assert located(findings) == [("RPR105", 5, 14), ("RPR105", 7, 14)]
+        for finding in findings:
+            assert "in build() flows into 2 owners (line 8 (stored), " \
+                "line 9 (stored))" in finding.message
+
+    def test_positional_only_parameter_is_retained(self, analyze_tree):
+        project = analyze_tree({
+            "faults/sched.py": """\
+                import numpy as np
+
+                class Pipeline:
+                    def keep(self, rng, /):
+                        self.rng = rng
+
+                def wire(seed):
+                    rng = np.random.default_rng(seed)
+                    disk = Pipeline()
+                    flash = Pipeline()
+                    disk.keep(rng)
+                    flash.keep(rng)
+            """,
+        })
+        findings = check_rng_provenance(project)
+        assert located(findings) == [("RPR105", 8, 10)]
+        assert "in wire() flows into 2 owners" in findings[0].message
+        assert findings[0].message.count(
+            "passed to repro.faults.sched:Pipeline.keep") == 2
+
+
 class TestModuleScope:
     def test_module_global_stream_is_rpr106(self, analyze_tree):
         project = analyze_tree({

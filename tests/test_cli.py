@@ -200,3 +200,47 @@ class TestSweepCommandInputs:
     def test_empty_workload_sizes_exit_2(self, capsys, argv, message):
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == message
+
+
+class TestNonFiniteInputs:
+    """Non-finite and fractional inputs exit 2 with one line."""
+
+    _RELIABILITY = [
+        "reliability", "--accesses", "60", "--universe-pages", "32",
+        "--trials", "20", "--scrub-periods", "0", "--dirty-thresholds",
+        "0.5", "--rebuild-priorities", "1",
+    ]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--iops", "inf", "iops must be > 0 and finite, got inf"),
+        ("--iops", "nan", "iops must be > 0 and finite, got nan"),
+        ("--rebuild-priorities", "nan",
+         "rebuild_priority must be > 0 and finite, got nan"),
+        ("--rebuild-priorities", "inf",
+         "rebuild_priority must be > 0 and finite, got inf"),
+        ("--scrub-periods", "0.5",
+         "--scrub-periods must be whole numbers of accesses, got [0.5]"),
+    ], ids=["iops-inf", "iops-nan", "priority-nan", "priority-inf",
+            "scrub-fractional"])
+    def test_reliability(self, capsys, flag, value, message):
+        assert cli_main([*self._RELIABILITY, flag, value]) == 2
+        assert capsys.readouterr().err == \
+            f"kdd-repro reliability: {message}\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--duration", "WorkloadComposer.compose: duration_s must be "
+                       "positive and finite, got inf"),
+        ("--epoch", "WorkloadComposer.epoch_s must be positive and "
+                    "finite, got inf"),
+    ], ids=["duration", "epoch"])
+    def test_serve_infinite_times(self, capsys, flag, message):
+        assert cli_main([*TestServeCommand._SMALL, flag, "inf"]) == 2
+        assert capsys.readouterr().err == f"kdd-repro serve: {message}\n"
+
+    @pytest.mark.parametrize("suffix", [".spc", ".csv"])
+    def test_missing_trace_file(self, tmp_path, capsys, suffix):
+        missing = tmp_path / f"missing{suffix}"
+        assert cli_main(["simulate", "wt", "--workload", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"kdd-repro simulate: cannot read trace {missing}: "
+            "No such file or directory\n")

@@ -132,6 +132,25 @@ def test_rpr002_ignores_simulated_time_attributes(codes):
     assert codes("def f(time):\n    return time + 1\n", relpath="sim/x.py") == []
 
 
+def test_function_local_imports_resolve(findings):
+    found = findings(
+        "def stamp():\n"
+        "    import time\n"
+        "    return time.time()\n"
+        "\n"
+        "def tick():\n"
+        "    from time import perf_counter\n"
+        "    return perf_counter()\n"
+        "\n"
+        "def draw():\n"
+        "    import random\n"
+        "    return random.random()\n",
+        relpath="sim/x.py",
+    )
+    assert [(f.code, f.line) for f in found] == \
+        [("RPR002", 3), ("RPR002", 7), ("RPR001", 11)]
+
+
 # ---------------------------------------------------------------- RPR003
 
 
