@@ -9,6 +9,11 @@ Three kinds of entry, each stored as the SHA-256 of canonical JSON:
   Monte-Carlo estimate).
 * ``serve-compose``: the online-metrics summary of the tenant-workload
   composer alone, over 200 tenants and 100,000 requests.
+* ``fault-op-trace``: the artifacts ``kdd-repro faults --op-trace
+  --events-out`` writes, so a fault-injected run's per-op timing
+  (start, finish, queue delay, retries, residual fault) is pinned: the
+  SHA-256 of the JSONL bytes ``demo_op_trace`` writes, the summary it
+  returns, and ``demo_event_log()``.
 * Every ``kdd-repro run`` driver (``ALL_FIGURES``) at a small shape.
   Each runs through a recording :class:`SweepEngine`, so one checksum
   covers the full row of every cell the driver submits and the rows
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -89,7 +95,7 @@ def cells():
 
 def names() -> list[str]:
     """Every pinned name, in the order the goldens file lists them."""
-    return [*cells(), "serve-compose", *FIGURE_SHAPES]
+    return [*cells(), "serve-compose", "fault-op-trace", *FIGURE_SHAPES]
 
 
 def serve_compose_summary() -> dict[str, Any]:
@@ -106,6 +112,20 @@ def serve_compose_summary() -> dict[str, Any]:
         metrics.observe_batch(batch)
     metrics.assert_bounded()
     return metrics.summary()
+
+
+def fault_op_trace() -> dict[str, Any]:
+    """Op-trace digest and summary of the demo fault run, plus the
+    demo event log."""
+    from repro.faults import demo_event_log
+    from repro.harness.faultsweep import demo_op_trace
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ops.jsonl"
+        summary = demo_op_trace(str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"op_trace_sha256": digest, "summary": summary,
+            "events": demo_event_log()}
 
 
 def figure_rows(name: str) -> dict[str, Any]:
@@ -137,6 +157,7 @@ def collect() -> dict[str, str]:
     rows = SweepEngine(jobs=1).run(list(named.values())).rows
     out = {name: checksum([row]) for name, row in zip(named, rows)}
     out["serve-compose"] = checksum([serve_compose_summary()])
+    out["fault-op-trace"] = checksum([fault_op_trace()])
     for name in FIGURE_SHAPES:
         out[name] = checksum(figure_rows(name))
     return out

@@ -4,8 +4,9 @@
 rows of every ``kdd-repro run`` driver at a small shape (the full row
 of each cell it submits, plus the rows and notes it prints), of one
 tiny cell per path no driver reaches (serve drive, flash model,
-no-cache baseline, reliability point) and of the serve composer's
-metrics summary; see ``tests/goldens/generate_row_goldens.py``.  They
+no-cache baseline, reliability point), of the serve composer's
+metrics summary and of the fault demo's op trace and event log; see
+``tests/goldens/generate_row_goldens.py``.  They
 need no timing, so numeric drift on any of these paths fails tier-1.
 """
 
