@@ -53,9 +53,6 @@ class HDD:
         self.page_size = page_size
         self.capacity_pages = self.params.capacity_bytes // page_size
         self._head_page = 0
-        self.reads = 0
-        self.writes = 0
-        self.busy_time = 0.0
 
     def _seek_time(self, page: int) -> float:
         """Seek time as a function of head travel distance.
@@ -83,10 +80,4 @@ class HDD:
         rot = 0.0 if page == self._head_page and seek == 0.0 else p.avg_rotational_latency
         transfer = npages * self.page_size / p.transfer_rate
         self._head_page = page + npages
-        if is_read:
-            self.reads += npages
-        else:
-            self.writes += npages
-        total = seek + rot + transfer
-        self.busy_time += total
-        return total
+        return seek + rot + transfer

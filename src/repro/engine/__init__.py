@@ -4,7 +4,7 @@ Layers (see DESIGN.md "Timing engine"):
 
 * :mod:`repro.engine.core` — deterministic event heap, typed op records;
 * :mod:`repro.engine.resources` — device resources (HDD members, SSD
-  cache) behind pluggable queue disciplines (FCFS, priority-FCFS);
+  cache), one FCFS clock each;
 * :mod:`repro.engine.hooks` — composable middleware: the fault
   pipeline, op-level instrumentation and stale-stripe exposure;
 * :mod:`repro.engine.system` — :class:`SimEngine`, the timed system:
@@ -23,19 +23,10 @@ from .hooks import (
     InstrumentationHook,
     StaleExposureHook,
 )
-from .resources import (
-    FCFS,
-    DiskResource,
-    PriorityFCFS,
-    QueueDiscipline,
-    Resource,
-    ServiceWindow,
-    SSDResource,
-)
+from .resources import DiskResource, Resource, ServiceWindow, SSDResource
 from .system import SimEngine, TimingReport
 
 __all__ = [
-    "FCFS",
     "DiskResource",
     "EngineHook",
     "Event",
@@ -44,8 +35,6 @@ __all__ = [
     "InstrumentationHook",
     "OpRecord",
     "Priority",
-    "PriorityFCFS",
-    "QueueDiscipline",
     "RequestRecord",
     "Resource",
     "SSDResource",

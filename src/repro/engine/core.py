@@ -38,9 +38,8 @@ class Priority(Enum):
 
     ``FOREGROUND`` is work a request waits on; ``BACKGROUND`` is
     asynchronous work (read fills, cleaning, rebuild, repair traffic).
-    The FCFS discipline ignores the class (every op queues in arrival
-    order); the priority discipline defers background service so
-    foreground requests never wait behind *queued* background work.
+    Resources queue every op FCFS whatever its class; the class is the
+    ``priority`` label of the op trace.
     """
 
     FOREGROUND = "fg"
@@ -58,7 +57,6 @@ class OpRecord:
     stall + backoff time already included in ``finish``.
     """
 
-    op_id: int
     device: str
     kind: str  # "read" | "write"
     npages: int
@@ -80,9 +78,8 @@ class OpRecord:
         return self.finish - self.start
 
     def row(self) -> dict[str, object]:
-        """JSON-ready dict (the op-trace JSONL line)."""
+        """JSON-ready dict (the op-trace JSONL line, minus its number)."""
         return {
-            "op": self.op_id,
             "device": self.device,
             "kind": self.kind,
             "npages": self.npages,
@@ -135,7 +132,6 @@ class EventLoop:
         self.now = 0.0
         self._heap: list[Event] = []
         self._seq = 0
-        self.processed = 0
 
     def schedule(self, time: float, action: Callable[[float], None]) -> Event:
         """Schedule ``action(time)`` at ``time``; ties pop in FIFO order."""
@@ -146,26 +142,20 @@ class EventLoop:
         heapq.heappush(self._heap, event)
         return event
 
-    def step(self) -> bool:
-        """Pop and run the earliest event; False when the heap is empty."""
-        if not self._heap:
-            return False
-        event = heapq.heappop(self._heap)
-        self.now = max(self.now, event.time)
-        self.processed += 1
-        event.action(event.time)
-        return True
-
     @raises(SimulationError)
     def run(self, max_events: int | None = None) -> int:
-        """Run until the heap drains; returns the number of events run."""
+        """Pop and run events, earliest first, until the heap drains;
+        returns the number of events run."""
         ran = 0
-        while self._heap:
+        heap = self._heap
+        while heap:
             if max_events is not None and ran >= max_events:
                 raise SimulationError(
                     f"event loop exceeded {max_events} events; "
                     "a source is rescheduling itself unboundedly"
                 )
-            self.step()
+            event = heapq.heappop(heap)
+            self.now = max(self.now, event.time)
+            event.action(event.time)
             ran += 1
         return ran

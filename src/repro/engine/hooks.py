@@ -408,8 +408,8 @@ class InstrumentationHook(EngineHook):
 
         Depth for an op is the number of earlier ops on the same device
         still queued or in service when it was submitted.  Per-device
-        finish times are nondecreasing under every FCFS-family
-        discipline, so a sorted insert keeps the scan ``O(n log n)``.
+        finish times are nondecreasing under FCFS, so a sorted insert
+        keeps the scan ``O(n log n)``.
         """
         out: dict[str, dict[int, int]] = {}
         for device, ops in sorted(self._by_device().items()):
@@ -465,9 +465,11 @@ class InstrumentationHook(EngineHook):
     # -- export --------------------------------------------------------------
 
     def write_jsonl(self, path: str) -> int:
-        """Write the op trace as JSON Lines; returns the line count."""
+        """Write the op trace as JSON Lines, each op numbered (``"op"``)
+        in global service order; returns the line count."""
         with open(path, "w") as fh:
-            for op in self.ops:
-                fh.write(json.dumps(op.row(), sort_keys=True))
+            for number, op in enumerate(self.ops):
+                fh.write(json.dumps({"op": number, **op.row()},
+                                    sort_keys=True))
                 fh.write("\n")
         return len(self.ops)

@@ -9,10 +9,7 @@ summarises a run as a :class:`TimingReport`.  Workload drivers
 :mod:`repro.sim.rebuild`) are *sources*: they decide what to submit and
 when, the engine resolves when it finishes.  Cross-cutting behaviour —
 fault escalation, instrumentation — hangs off the hook stack
-(:mod:`repro.engine.hooks`).  Every resource starts out FCFS; a run
-that wants :class:`~repro.engine.resources.PriorityFCFS` sets
-``discipline`` on the engine's resources (``engine.resources()``)
-before it submits.
+(:mod:`repro.engine.hooks`).  Every resource queues FCFS.
 
 Request semantics (Section IV-B of the paper, unchanged from the
 pre-engine implementation):
@@ -35,8 +32,8 @@ pre-engine implementation):
 Events enter a deterministic heap (:class:`~repro.engine.core.EventLoop`)
 and are resolved with lookahead: handling a request event resolves all
 of its device acquisitions inline against the resource clocks, which
-implements FCFS-family disciplines exactly because sources submit in
-global arrival order.
+implements FCFS exactly because sources submit in global arrival
+order.
 """
 
 from __future__ import annotations
@@ -94,16 +91,8 @@ class SimEngine:
         self.recorder = LatencyRecorder()
         self.hooks: list[EngineHook] = []
         self._member_read: MemberReadHandler = self._base_member_read
-        self._next_op_id = 0
-        for resource in self.resources():
-            resource.use_op_ids(self._alloc_op_id)
 
     # -- plumbing ------------------------------------------------------------
-
-    def _alloc_op_id(self) -> int:
-        op_id = self._next_op_id
-        self._next_op_id += 1
-        return op_id
 
     def resources(self) -> Iterator[Resource]:
         yield from self.disks

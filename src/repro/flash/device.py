@@ -1,13 +1,13 @@
-"""SSD device model: FTL + latency + optional data payload store.
+"""SSD device model: FTL + optional data payload store, and its latencies.
 
-The device has two roles in the reproduction:
-
-* In the trace-driven cache simulator it *accounts*: host write traffic,
-  NAND writes, write amplification, erase counts — the inputs to the
-  lifetime comparison (Figures 6, 8, 11).
-* In the timing simulator it *serves*: page reads/programs take MLC-class
-  latencies, and batches exploit channel parallelism (the paper leans on
-  this for KDD's concurrent data+delta reads, Section IV-B2).
+In the trace-driven cache simulator the device *accounts*: host write
+traffic, NAND writes, write amplification, erase counts — the inputs to
+the lifetime comparison (Figures 6, 8, 11).  It has no clock.
+:class:`SSDLatency` holds the MLC-class page and command service times
+that the timing simulator's cache resource
+(:class:`repro.engine.resources.SSDResource`) serves with; timing lives
+only there, where batches exploit channel parallelism (the paper leans
+on this for KDD's concurrent data+delta reads, Section IV-B2).
 
 Payload storage is optional: when ``store_data=True`` the device keeps
 actual page bytes, which the prototype-path tests use to verify that
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError, FlashError
-from ..units import GiB, MICROSECOND, MILLISECOND
+from ..units import GiB, MICROSECOND
 from .ftl import PageMappedFTL
 from .geometry import FlashGeometry
 from .wear import MLC_ENDURANCE, LifetimeEstimate
@@ -31,12 +31,11 @@ class SSDLatency:
 
     page_read: float = 60 * MICROSECOND
     page_program: float = 200 * MICROSECOND
-    block_erase: float = 2 * MILLISECOND
     #: Controller/bus overhead per host command.
     command_overhead: float = 20 * MICROSECOND
 
     def __post_init__(self) -> None:
-        for field in ("page_read", "page_program", "block_erase", "command_overhead"):
+        for field in ("page_read", "page_program", "command_overhead"):
             if getattr(self, field) < 0:
                 raise ConfigError(f"{field} must be >= 0")
 
@@ -48,7 +47,6 @@ class SSD:
         self,
         geometry: FlashGeometry | None = None,
         capacity_bytes: int | None = None,
-        latency: SSDLatency | None = None,
         endurance: int = MLC_ENDURANCE,
         over_provisioning: float = 0.07,
         store_data: bool = False,
@@ -58,7 +56,6 @@ class SSD:
         elif capacity_bytes is not None:
             raise ConfigError("pass either geometry or capacity_bytes, not both")
         self.geometry = geometry
-        self.latency = latency or SSDLatency()
         self.ftl = PageMappedFTL(
             geometry, over_provisioning=over_provisioning, endurance=endurance
         )
@@ -104,27 +101,6 @@ class SSD:
 
     def is_mapped(self, lpn: int) -> bool:
         return self.ftl.is_mapped(lpn)
-
-    # -- timing model --------------------------------------------------------
-
-    def read_time(self, npages: int = 1) -> float:
-        """Service time for reading ``npages`` logical pages in one command.
-
-        Pages land on distinct channels with high probability under the
-        round-robin allocator, so a batch of n pages takes
-        ``ceil(n / channels)`` serialized page reads.
-        """
-        if npages < 1:
-            raise ConfigError("npages must be >= 1")
-        rounds = -(-npages // self.geometry.channels)
-        return self.latency.command_overhead + rounds * self.latency.page_read
-
-    def write_time(self, npages: int = 1) -> float:
-        """Service time for programming ``npages`` pages in one command."""
-        if npages < 1:
-            raise ConfigError("npages must be >= 1")
-        rounds = -(-npages // self.geometry.channels)
-        return self.latency.command_overhead + rounds * self.latency.page_program
 
     # -- endurance accounting --------------------------------------------
 

@@ -54,19 +54,12 @@ class FlashGeometry:
     def capacity_bytes(self) -> int:
         return self.total_pages * self.page_size
 
-    @property
-    def block_size(self) -> int:
-        return self.pages_per_block * self.page_size
-
     def plane_of_block(self, block: int) -> int:
         """Plane index holding physical block ``block`` (blocks interleave
         across planes so consecutive allocations spread over channels)."""
         if not 0 <= block < self.total_blocks:
             raise ConfigError(f"block {block} out of range")
         return block % self.planes
-
-    def channel_of_block(self, block: int) -> int:
-        return self.plane_of_block(block) % self.channels
 
     @classmethod
     def for_capacity(

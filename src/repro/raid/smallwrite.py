@@ -151,10 +151,6 @@ class AfraidRaid:
         self.idle_repairs = 0
 
     @property
-    def unredundant_stripes(self) -> set[int]:
-        return self.array.stale_stripes
-
-    @property
     def window_of_vulnerability(self) -> int:
         """Stripes that would lose data if a disk failed right now."""
         return len(self.array.stale_stripes)

@@ -47,14 +47,6 @@ def test_longer_seeks_cost_more():
     assert t_far > t_near
 
 
-def test_counters_and_busy_time():
-    d = HDD()
-    d.service_time(0, 2, is_read=True)
-    d.service_time(100, 3, is_read=False)
-    assert d.reads == 2 and d.writes == 3
-    assert d.busy_time > 0
-
-
 def test_zero_length_rejected():
     with pytest.raises(ConfigError):
         HDD().service_time(0, 0, True)

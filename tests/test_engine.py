@@ -10,16 +10,12 @@ from hypothesis import strategies as st
 
 from repro.cache import CacheConfig
 from repro.engine import (
-    FCFS,
     DiskResource,
     EventLoop,
     FaultPipelineHook,
     InstrumentationHook,
     OpRecord,
-    Priority,
-    PriorityFCFS,
     SimEngine,
-    SSDResource,
 )
 from repro.errors import ConfigError, SimulationError
 from repro.faults.retry import retry_policy
@@ -54,7 +50,6 @@ def test_event_loop_orders_by_time_then_fifo():
     assert loop.run() == 4
     assert seen == ["first", "tie-a", "tie-b", "late"]
     assert loop.now == 2.0
-    assert loop.processed == 4
 
 
 def test_event_loop_clock_is_monotone():
@@ -88,18 +83,17 @@ def test_event_loop_overflow_guard():
 
 
 def test_op_record_derived_fields_and_row():
-    op = OpRecord(op_id=3, device="disk1", kind="read", npages=2,
-                  priority="fg", tag="fg", submitted=1.0, start=1.5,
-                  finish=2.5)
+    op = OpRecord(device="disk1", kind="read", npages=2, priority="fg",
+                  tag="fg", submitted=1.0, start=1.5, finish=2.5)
     assert op.queue_delay == 0.5
     assert op.service == 1.0
     row = op.row()
-    assert row["op"] == 3 and row["device"] == "disk1"
+    assert row["device"] == "disk1"
     assert row["queue_delay"] == 0.5 and row["fault"] is None
     json.dumps(row)  # JSONL-ready
 
 
-# ---------------------------------------------------------------- disciplines
+# ---------------------------------------------------------------- FCFS
 
 
 def test_fcfs_queues_behind_the_device():
@@ -109,37 +103,6 @@ def test_fcfs_queues_behind_the_device():
     assert w2.start == w1.finish  # queued behind op 1
     w3 = disk.serve(0, 1, True, w2.finish + 1.0)
     assert w3.start == w2.finish + 1.0  # idle gap honoured
-
-
-def test_priority_fcfs_defers_background_by_idle_gap():
-    gap = 0.25
-    disk = DiskResource(discipline=PriorityFCFS(bg_idle_gap=gap))
-    fg = disk.serve(0, 1, True, 0.0, priority=Priority.FOREGROUND)
-    bg = disk.serve(512, 1, True, 0.0, priority=Priority.BACKGROUND, tag="bg")
-    assert bg.start == pytest.approx(fg.finish + gap)
-    # foreground is never deferred by the gap
-    fg2 = disk.serve(0, 1, True, bg.finish, priority=Priority.FOREGROUND)
-    assert fg2.start == bg.finish
-
-
-def test_priority_fcfs_with_zero_gap_reduces_to_fcfs():
-    a = DiskResource(discipline=FCFS())
-    b = DiskResource(discipline=PriorityFCFS(bg_idle_gap=0.0))
-    for disk_page, pri in ((0, Priority.FOREGROUND), (512, Priority.BACKGROUND),
-                           (4, Priority.BACKGROUND), (900, Priority.FOREGROUND)):
-        wa = a.serve(disk_page, 1, True, 0.0, priority=pri)
-        wb = b.serve(disk_page, 1, True, 0.0, priority=pri)
-        assert (wa.start, wa.finish) == (wb.start, wb.finish)
-
-
-def test_priority_fcfs_rejects_negative_gap():
-    with pytest.raises(ConfigError):
-        PriorityFCFS(bg_idle_gap=-1.0)
-
-
-def test_ssd_channel_ties_break_by_lowest_index():
-    ssd = SSDResource(channels=4)
-    assert ssd._assign_channels(3) == [0, 1, 2]
 
 
 # ---------------------------------------------------------------- accounting
@@ -255,9 +218,6 @@ def instrumented():
 def test_instrumentation_collects_every_op(instrumented):
     assert len(instrumented.ops) > 0
     assert len(instrumented.requests) == 120
-    # engine-wide op ids: strictly increasing in global service order
-    ids = [op.op_id for op in instrumented.ops]
-    assert ids == list(range(len(ids)))
     assert {op.device for op in instrumented.ops} <= set(instrumented.devices)
 
 
@@ -292,9 +252,11 @@ def test_instrumentation_jsonl_export(tmp_path, instrumented):
     n = instrumented.write_jsonl(str(path))
     lines = path.read_text().splitlines()
     assert n == len(lines) == len(instrumented.ops)
-    first = json.loads(lines[0])
+    rows = [json.loads(line) for line in lines]
+    # numbered engine-wide, in global service order
+    assert [row["op"] for row in rows] == list(range(n))
     assert {"op", "device", "kind", "submitted", "start", "finish",
-            "queue_delay", "fault"} <= set(first)
+            "queue_delay", "fault"} <= set(rows[0])
     summary = instrumented.summary(duration=1.0, bins=5)
     json.dumps(summary)
     assert summary["ops"] == len(instrumented.ops)

@@ -1,10 +1,10 @@
 """The deterministic fault-injection layer (repro.faults).
 
 Covers the schedule's per-device RNG streams, retry/backoff timing,
-fault-aware device servers (including SSD channel tie-breaking),
-degraded RAID reads and media repair, the fault-aware timing simulator,
-the scrubber, rebuild-under-load, the sweep-engine ``faults`` cell kind
-(byte-identical across job counts), and the CLI driver.
+fault-aware device servers, degraded RAID reads and media repair, the
+fault-aware timing simulator, the scrubber, rebuild-under-load, the
+sweep-engine ``faults`` cell kind (byte-identical across job counts),
+and the CLI driver.
 """
 
 import json
@@ -16,9 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.cache import CacheConfig
-from repro.disk.hdd import HDDParams
 from repro.engine import FaultPipelineHook, SimEngine
-from repro.engine.resources import DiskResource, SSDResource
+from repro.engine.resources import DiskResource
 from repro.errors import ConfigError, DegradedError, FaultError, MediaError
 from repro.faults import (
     DeviceFaultStream,
@@ -147,8 +146,8 @@ class TestRetryPolicy:
 class TestDeviceFaults:
     def test_timeout_stall_without_retry(self):
         cfg = FaultConfig(seed=0, timeout_rate=1.0, timeout_s=0.01)
-        plain = DiskResource(HDDParams())
-        faulty = DiskResource(HDDParams(), faults=DeviceFaultStream("d", cfg),
+        plain = DiskResource()
+        faulty = DiskResource(faults=DeviceFaultStream("d", cfg),
                               retry=retry_policy("none"))
         base = plain.serve(0, 1, True, 0.0)
         w = faulty.serve(0, 1, True, 0.0)
@@ -158,8 +157,8 @@ class TestDeviceFaults:
 
     def test_backoff_retries_add_latency(self):
         cfg = FaultConfig(seed=0, timeout_rate=1.0, timeout_s=0.01)
-        plain = DiskResource(HDDParams())
-        faulty = DiskResource(HDDParams(), faults=DeviceFaultStream("d", cfg),
+        plain = DiskResource()
+        faulty = DiskResource(faults=DeviceFaultStream("d", cfg),
                               retry=retry_policy("backoff"))
         base = plain.serve(0, 1, True, 0.0)
         w = faulty.serve(0, 1, True, 0.0)
@@ -170,47 +169,16 @@ class TestDeviceFaults:
 
     def test_retry_can_clear_a_transient(self):
         cfg = FaultConfig(seed=3, timeout_rate=0.5, timeout_s=0.01)
-        server = DiskResource(HDDParams(), faults=DeviceFaultStream("d", cfg),
+        server = DiskResource(faults=DeviceFaultStream("d", cfg),
                               retry=retry_policy("backoff"))
         windows = [server.serve(i, 1, True, 0.0) for i in range(40)]
         cleared = [w for w in windows if w.ok and w.retries > 0]
         assert cleared, "some timeout should clear within the retry budget"
 
     def test_no_faults_means_clean_windows(self):
-        server = DiskResource(HDDParams())
+        server = DiskResource()
         w = server.serve(0, 1, True, 0.0)
         assert w.ok and w.retries == 0 and w.fault_latency == 0.0
-
-
-class TestSsdChannelDeterminism:
-    def test_equal_busy_ties_break_by_lowest_index(self):
-        ssd = SSDResource(channels=8)
-        assert ssd._assign_channels(3) == [0, 1, 2]
-
-    def test_assignment_round_robins_over_rank(self):
-        ssd = SSDResource(channels=4)
-        assert ssd._assign_channels(6) == [0, 1, 2, 3, 0, 1]
-
-    def test_uneven_busy_prefers_idle_then_index(self):
-        ssd = SSDResource(channels=4)
-        ssd.channel_busy = [0.5, 0.1, 0.5, 0.1]
-        assert ssd._assign_channels(4) == [1, 3, 0, 2]
-
-    def test_serve_records_assignment(self):
-        ssd = SSDResource(channels=8)
-        ssd.serve_read(3, 0.0)
-        assert ssd.last_assignment == [0, 1, 2]
-
-    def test_assignment_is_reproducible(self):
-        def run():
-            ssd = SSDResource(channels=4)
-            out = []
-            for i in range(12):
-                ssd.serve_read(1 + i % 3, i * 0.001)
-                out.append(tuple(ssd.last_assignment))
-            return out
-
-        assert run() == run()
 
 
 # ---------------------------------------------------------------- raid layer

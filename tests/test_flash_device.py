@@ -9,7 +9,6 @@ from repro.flash import (
     SSD,
     FlashGeometry,
     LifetimeEstimate,
-    SSDLatency,
     WearTracker,
     relative_lifetime,
 )
@@ -121,16 +120,6 @@ class TestSSD:
     def test_geometry_xor_capacity_exclusive(self):
         with pytest.raises(ConfigError):
             SSD(geometry=FlashGeometry(), capacity_bytes=GiB)
-
-    def test_latency_batches_exploit_channels(self):
-        lat = SSDLatency(page_read=100e-6, command_overhead=0.0)
-        ssd = SSD(
-            geometry=FlashGeometry(channels=8, blocks_per_plane=4, pages_per_block=8),
-            latency=lat,
-        )
-        assert ssd.read_time(1) == pytest.approx(100e-6)
-        assert ssd.read_time(8) == pytest.approx(100e-6)
-        assert ssd.read_time(9) == pytest.approx(200e-6)
 
     def test_write_traffic_counters(self):
         ssd = SSD(capacity_bytes=8 * MiB)
