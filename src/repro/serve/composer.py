@@ -42,6 +42,11 @@ from .tenants import TenantSpec
 
 __all__ = ["ComposedBatch", "WorkloadComposer", "substream_seed"]
 
+#: Most epochs one ``duration_s`` may span.  A longer plan comes from a
+#: mistyped duration or epoch (120 s of 1e-7 s epochs is 1.2 billion
+#: epochs), so it is refused rather than run for hours.
+MAX_EPOCHS = 1_000_000
+
 
 def substream_seed(composer_seed: int, tenant_id: str) -> int:
     """Derive a tenant's RNG substream seed from the composer seed.
@@ -181,6 +186,23 @@ class WorkloadComposer:
         self._scatter_cache[idx] = (mult, offset)
         return mult, offset
 
+    def _epoch_count(self, caller: str, duration_s: float) -> int:
+        """Epochs covering ``duration_s``; ``caller`` names the method in
+        the :class:`ConfigError` for a bad duration or too many epochs."""
+        if not (duration_s > 0.0 and math.isfinite(duration_s)):
+            raise ConfigError(
+                f"WorkloadComposer.{caller}: duration_s must be positive and "
+                f"finite, got {duration_s}"
+            )
+        epochs = duration_s / self.epoch_s
+        if epochs > MAX_EPOCHS:
+            raise ConfigError(
+                f"WorkloadComposer.{caller}: duration_s={duration_s} at "
+                f"epoch_s={self.epoch_s} spans {epochs:.3g} epochs, more "
+                f"than the cap of {MAX_EPOCHS}"
+            )
+        return max(1, math.ceil(epochs))
+
     @columnar(dtypes={"return": "(float64, uint64, bool)"})
     def _tenant_epoch(
         self, idx: int, epoch: int
@@ -273,22 +295,15 @@ class WorkloadComposer:
                 "WorkloadComposer.compose: one of duration_s / max_requests "
                 "is required"
             )
-        if duration_s is not None and \
-                not (duration_s > 0.0 and math.isfinite(duration_s)):
-            raise ConfigError(
-                f"WorkloadComposer.compose: duration_s must be positive and "
-                f"finite, got {duration_s}"
-            )
+        n_epochs = (
+            None if duration_s is None
+            else self._epoch_count("compose", duration_s)
+        )
         if max_requests is not None and max_requests < 1:
             raise ConfigError(
                 f"WorkloadComposer.compose: max_requests must be >= 1, "
                 f"got {max_requests}"
             )
-        n_epochs = (
-            None
-            if duration_s is None
-            else max(1, math.ceil(duration_s / self.epoch_s))
-        )
         emitted = 0
         epoch = 0
         while n_epochs is None or epoch < n_epochs:
@@ -320,12 +335,7 @@ class WorkloadComposer:
         ran this trace alone on a cache of its quota size.
         """
         idx = self._tenant_index(tenant_id)
-        if not duration_s > 0.0:
-            raise ConfigError(
-                f"WorkloadComposer.tenant_trace: duration_s must be "
-                f"positive, got {duration_s}"
-            )
-        n_epochs = max(1, math.ceil(duration_s / self.epoch_s))
+        n_epochs = self._epoch_count("tenant_trace", duration_s)
         times_parts: list[np.ndarray] = []
         lba_parts: list[np.ndarray] = []
         read_parts: list[np.ndarray] = []

@@ -237,6 +237,13 @@ class TestNonFiniteInputs:
         assert cli_main([*TestServeCommand._SMALL, flag, "inf"]) == 2
         assert capsys.readouterr().err == f"kdd-repro serve: {message}\n"
 
+    def test_serve_epoch_count_capped(self, capsys):
+        assert cli_main([*TestServeCommand._SMALL, "--epoch", "1e-7"]) == 2
+        assert capsys.readouterr().err == (
+            "kdd-repro serve: WorkloadComposer.compose: duration_s=120.0 at "
+            "epoch_s=1e-07 spans 1.2e+09 epochs, more than the cap of "
+            "1000000\n")
+
     @pytest.mark.parametrize("suffix", [".spc", ".csv"])
     def test_missing_trace_file(self, tmp_path, capsys, suffix):
         missing = tmp_path / f"missing{suffix}"

@@ -95,6 +95,9 @@ class TestComposerValidation:
         composer = WorkloadComposer(small_fleet(), seed=0)
         with pytest.raises(ConfigError, match="duration_s"):
             composer.tenant_trace("t0000", 0.0)
+        with pytest.raises(ConfigError,
+                           match="positive and finite, got inf"):
+            composer.tenant_trace("t0000", float("inf"))
 
 
 class TestSubstreamSeeds:
