@@ -334,7 +334,11 @@ class _Streams(FlowWalker):
                              ast.ClassDef)):
             return  # a nested body is a scope of its own
         self.expr(stmt)
-        if not isinstance(stmt, ast.Assign):
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]  # ``rng: Generator = ...`` binds alike
+        else:
             return
         value = stmt.value
         if isinstance(value, ast.Call) and self.flow._is_stream_call(
@@ -344,7 +348,7 @@ class _Streams(FlowWalker):
             births = self.env.get(value.id, self.missing)
         else:
             births = self.missing
-        for tgt in stmt.targets:
+        for tgt in targets:
             if isinstance(tgt, ast.Name):
                 self.env[tgt.id] = births
                 for birth in births:

@@ -93,18 +93,22 @@ class TestSharedStream:
         assert "Pipeline.keep2)" in findings[0].message
 
     def test_subscript_registry_counts_as_owner(self, analyze_tree):
-        project = analyze_tree({
-            "faults/sched.py": """\
-                import numpy as np
+        # an annotated binding binds the stream exactly like a plain one
+        for binding in ("rng = np.random.default_rng(seed)",
+                        "rng: np.random.Generator = "
+                        "np.random.default_rng(seed)"):
+            project = analyze_tree({
+                "faults/sched.py": f"""\
+                    import numpy as np
 
-                def build(seed, registry):
-                    rng = np.random.default_rng(seed)
-                    registry["disk0"] = rng
-                    registry["disk1"] = rng
-                    return registry
-            """,
-        })
-        assert codes(check_rng_provenance(project)) == ["RPR105"]
+                    def build(seed, registry):
+                        {binding}
+                        registry["disk0"] = rng
+                        registry["disk1"] = rng
+                        return registry
+                """,
+            })
+            assert codes(check_rng_provenance(project)) == ["RPR105"], binding
 
     def test_per_device_loop_is_clean(self, analyze_tree):
         """The sanctioned pattern: one fresh derived stream per owner."""
