@@ -9,9 +9,9 @@ short.  This bench measures foreground latency with and without
 resync traffic sharing the disks.
 
 The resync batches ride ``SimEngine.inject_disk_ops``, which the
-engine schedules at background priority (tag ``inject``) — under the
-default FCFS discipline that is pure contention; a ``PriorityFCFS``
-discipline on the engine's resources would throttle it.
+engine labels background priority (tag ``inject``).  Every device queue
+is FCFS, so the interference is pure contention: nothing throttles the
+resync behind foreground requests.
 """
 
 import heapq
