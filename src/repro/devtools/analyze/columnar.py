@@ -117,9 +117,9 @@ HOT_MODULES = frozenset(
     }
 )
 
-#: Reviewed scalar paths inside hot modules.  Trace iteration *is* the
-#: scalar protocol the event-driven simulator consumes; the P² update
-#: is scalar by construction (five markers, O(1) state).
+#: Reviewed scalar paths inside hot modules.  Trace iteration is the
+#: per-record view that ``write_spc`` and the rebuild source consume;
+#: the simulators read whole columns instead.
 HOT_ALLOWLIST = frozenset(
     {
         "repro.traces.trace:Trace.__iter__",

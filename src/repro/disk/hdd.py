@@ -53,31 +53,30 @@ class HDD:
         self.page_size = page_size
         self.capacity_pages = self.params.capacity_bytes // page_size
         self._head_page = 0
-
-    def _seek_time(self, page: int) -> float:
-        """Seek time as a function of head travel distance.
-
-        Square-root seek curve between min and max seek, the standard
-        approximation for voice-coil actuators.
-        """
-        distance = abs(page - self._head_page)
-        if distance == 0:
-            return 0.0
-        frac = (distance / max(1, self.capacity_pages)) ** 0.5
+        # The model's constants, derived once: service_time runs on every
+        # member-disk op of a timed run.
         p = self.params
-        return p.seek_min + (p.seek_max - p.seek_min) * frac
+        self._seek_min = p.seek_min
+        self._seek_span = p.seek_max - p.seek_min
+        self._stroke_pages = max(1, self.capacity_pages)
+        self._avg_rotation = p.avg_rotational_latency
+        self._transfer_rate = p.transfer_rate
 
-    def service_time(self, page: int, npages: int, is_read: bool) -> float:
+    def service_time(self, page: int, npages: int) -> float:
         """Service time for an ``npages``-long access at ``page``.
 
         Advances the head; sequential back-to-back accesses pay no seek
-        and (approximately) no rotational latency.
+        and (approximately) no rotational latency.  Seek time follows a
+        square-root curve of head travel between the minimum and maximum
+        seek, the standard approximation for voice-coil actuators.
         """
         if npages < 1:
             raise ConfigError("npages must be >= 1")
-        p = self.params
-        seek = self._seek_time(page)
-        rot = 0.0 if page == self._head_page and seek == 0.0 else p.avg_rotational_latency
-        transfer = npages * self.page_size / p.transfer_rate
+        distance = abs(page - self._head_page)
         self._head_page = page + npages
-        return seek + rot + transfer
+        transfer = npages * self.page_size / self._transfer_rate
+        if distance == 0:
+            return transfer
+        frac = (distance / self._stroke_pages) ** 0.5
+        seek = self._seek_min + self._seek_span * frac
+        return seek + self._avg_rotation + transfer

@@ -26,6 +26,7 @@ instrumentation) hangs off the hook protocol
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -134,9 +135,16 @@ class EventLoop:
         self._seq = 0
 
     def schedule(self, time: float, action: Callable[[float], None]) -> Event:
-        """Schedule ``action(time)`` at ``time``; ties pop in FIFO order."""
-        if time < 0:
-            raise ConfigError(f"cannot schedule an event at negative time {time}")
+        """Schedule ``action(time)`` at ``time``; ties pop in FIFO order.
+
+        ``time`` must be finite and >= 0: a NaN would compare false
+        against every bound and corrupt the heap order.
+        """
+        if not 0.0 <= time < math.inf:
+            raise ConfigError(
+                f"cannot schedule an event at time {time}: "
+                "need a finite time >= 0"
+            )
         event = Event(time=time, seq=self._seq, action=action)
         self._seq += 1
         heapq.heappush(self._heap, event)
@@ -155,7 +163,8 @@ class EventLoop:
                     "a source is rescheduling itself unboundedly"
                 )
             event = heapq.heappop(heap)
-            self.now = max(self.now, event.time)
+            if event.time > self.now:
+                self.now = event.time
             event.action(event.time)
             ran += 1
         return ran

@@ -38,7 +38,7 @@ from ..flash.device import SSDLatency
 from .core import OpRecord, Priority
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceWindow:
     """When an operation started and finished on a resource — and whether
     it actually succeeded.
@@ -62,7 +62,7 @@ class ServiceWindow:
 
 
 def _faulted_service(
-    stream: DeviceFaultStream | None,
+    stream: DeviceFaultStream,
     retry: RetryPolicy | None,
     is_read: bool,
     npages: int,
@@ -74,8 +74,6 @@ def _faulted_service(
     the retry re-draws from the stream; a URE is persistent and is
     never retried (re-reading bad media returns the same error).
     """
-    if stream is None:
-        return None, 0, 0.0
     fault = stream.draw(is_read, npages)
     retries = 0
     penalty = 0.0
@@ -122,18 +120,27 @@ class Resource:
     def _queue(self, service: float, npages: int, is_read: bool,
                earliest: float, priority: Priority,
                tag: str) -> ServiceWindow:
-        """Serve one ``service``-second command FCFS behind the device."""
-        start = max(earliest, self.busy_until)
-        fault, retries, penalty = _faulted_service(
-            self.faults, self.retry, is_read, npages
-        )
-        window = ServiceWindow(start=start, finish=start + service + penalty,
-                               fault=fault, retries=retries,
-                               fault_latency=penalty)
+        """Serve one ``service``-second command FCFS behind the device.
+
+        A device with no fault stream draws nothing: its window is the
+        bare service time.
+        """
+        busy = self.busy_until
+        start = busy if busy > earliest else earliest
+        if self.faults is None:
+            window = ServiceWindow(start, start + service)
+        else:
+            fault, retries, penalty = _faulted_service(
+                self.faults, self.retry, is_read, npages
+            )
+            window = ServiceWindow(start, start + service + penalty,
+                                   fault=fault, retries=retries,
+                                   fault_latency=penalty)
+            self.stall_time += penalty
         self.busy_until = window.finish
-        self.busy_time += window.finish - window.start
-        self.stall_time += penalty
+        self.busy_time += window.finish - start
         if self._observers:
+            fault = window.fault
             record = OpRecord(
                 device=self.name,
                 kind="read" if is_read else "write",
@@ -144,8 +151,8 @@ class Resource:
                 start=start,
                 finish=window.finish,
                 fault=fault.value if fault is not None else None,
-                retries=retries,
-                fault_latency=penalty,
+                retries=window.retries,
+                fault_latency=window.fault_latency,
             )
             for observer in self._observers:
                 observer(record)
@@ -175,7 +182,7 @@ class DiskResource(Resource):
         tag: str = "fg",
     ) -> ServiceWindow:
         """Queue one access; returns its service window (typed outcome)."""
-        service = self.hdd.service_time(disk_page, npages, is_read)
+        service = self.hdd.service_time(disk_page, npages)
         return self._queue(service, npages, is_read, earliest, priority, tag)
 
 

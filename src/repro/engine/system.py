@@ -137,20 +137,28 @@ class SimEngine:
 
         Reads go through the member-read middleware chain (fault
         escalation lives there); writes notify the hooks afterwards.
+        One pass over ``ops`` serves the reads and sets the writes aside.
         """
-        reads = [op for op in ops if op.is_read]
-        writes = [op for op in ops if not op.is_read]
+        member_read = self._member_read
+        writes = []
         phase1_done = earliest
-        for op in reads:
-            window = self._member_read(op, earliest, priority, tag)
-            phase1_done = max(phase1_done, window.finish)
+        for op in ops:
+            if op.is_read:
+                finish = member_read(op, earliest, priority, tag).finish
+                if finish > phase1_done:
+                    phase1_done = finish
+            else:
+                writes.append(op)
         done = phase1_done
+        disks = self.disks
+        hooks = self.hooks
         for op in writes:
-            window = self.disks[op.disk].serve(op.disk_page, op.npages, False,
-                                               phase1_done, priority, tag)
-            for hook in self.hooks:
+            window = disks[op.disk].serve(op.disk_page, op.npages, False,
+                                          phase1_done, priority, tag)
+            for hook in hooks:
                 hook.on_member_write(self, op, window)
-            done = max(done, window.finish)
+            if window.finish > done:
+                done = window.finish
         return done
 
     def serve_plain_phases(
@@ -164,11 +172,13 @@ class SimEngine:
         Returns the batch finish time and every service window (the
         caller accounts retries).
         """
-        reads = [op for op in ops if op.is_read]
-        writes = [op for op in ops if not op.is_read]
+        writes = []
         windows: list[ServiceWindow] = []
         phase1_done = earliest
-        for op in reads:
+        for op in ops:
+            if not op.is_read:
+                writes.append(op)
+                continue
             window = self.disks[op.disk].serve(op.disk_page, op.npages, True,
                                                earliest, priority, tag)
             windows.append(window)
@@ -199,12 +209,12 @@ class SimEngine:
             if out.fg_disk_ops:
                 # Compute (delta compression) precedes the member ops
                 # that consume its output, so they queue after it.
-                page_done = max(
-                    page_done,
-                    self.run_disk_phases(out.fg_disk_ops,
-                                         arrival + out.fg_compute),
-                )
-            completion = max(completion, page_done)
+                disk_done = self.run_disk_phases(out.fg_disk_ops,
+                                                 arrival + out.fg_compute)
+                if disk_done > page_done:
+                    page_done = disk_done
+            if page_done > completion:
+                completion = page_done
             backgrounds.append(out)
         # background work starts once the foreground finished
         for out in backgrounds:

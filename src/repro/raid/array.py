@@ -554,6 +554,13 @@ class RAIDArray:
         if data is not None and len(data) != npages:
             raise ConfigError("data must contain one payload per page")
         layout = self.layout
+        if npages == 1:  # one page is one group
+            loc = layout.locate(lpage)
+            group = self._write_group(
+                loc.stripe, loc.disk_page - loc.stripe * layout.chunk_pages,
+                [loc], None if data is None else [data[0]])
+            self.counters.account(group)
+            return group
         ops: list[DiskOp] = []
         # Locate each page once and group the placements by (stripe,
         # offset-within-chunk); the groups never locate a page again.

@@ -83,14 +83,11 @@ class RaidLayout:
             RaidLevel.RAID5: 1,
             RaidLevel.RAID6: 2,
         }[level]
-
-    @property
-    def capacity_pages(self) -> int | None:
-        if self.pages_per_disk is None:
-            return None
-        if self.level is RaidLevel.RAID1:
-            return self.pages_per_disk
-        return self.pages_per_disk * self.data_disks_per_stripe
+        #: Logical pages the array holds (None: unbounded members).
+        self.capacity_pages: int | None = (
+            None if pages_per_disk is None
+            else pages_per_disk * self.data_disks_per_stripe
+        )
 
     # -- placement ---------------------------------------------------------
 
@@ -101,11 +98,9 @@ class RaidLayout:
 
     def parity_disk(self, stripe: int) -> int | None:
         """P-parity disk of a stripe (None for RAID-0/1)."""
-        if self.level is RaidLevel.RAID5:
-            return (self.ndisks - 1) - (stripe % self.ndisks)
-        if self.level is RaidLevel.RAID6:
-            return (self.ndisks - 1) - (stripe % self.ndisks)
-        return None
+        if not self.parity_disks:
+            return None
+        return (self.ndisks - 1) - (stripe % self.ndisks)
 
     def q_disk(self, stripe: int) -> int | None:
         """Q-parity disk (RAID-6 only; follows P with wraparound)."""
@@ -115,33 +110,40 @@ class RaidLayout:
         assert p is not None
         return (p + 1) % self.ndisks
 
+    def _data_disk(self, stripe: int, chunk_index: int) -> int:
+        """The stripe rotation: member disk of data chunk ``chunk_index``.
+
+        RAID-0 rotates the first chunk one disk per stripe; RAID-5 data
+        follows P and RAID-6 data follows Q (which follows P), with
+        wraparound.  No range check: callers pass an in-range chunk.
+        """
+        n = self.ndisks
+        if self.level is RaidLevel.RAID0:
+            return (stripe + chunk_index) % n
+        if self.level is RaidLevel.RAID1:
+            return 0  # primary copy; mirrors are handled by the array
+        p = (n - 1) - (stripe % n)
+        return (p + self.parity_disks + chunk_index) % n
+
     def data_disk(self, stripe: int, chunk_index: int) -> int:
         """Member disk holding data chunk ``chunk_index`` of ``stripe``."""
         if not 0 <= chunk_index < self.data_disks_per_stripe:
             raise ConfigError(f"chunk index {chunk_index} out of range")
-        if self.level is RaidLevel.RAID0:
-            return (stripe + chunk_index) % self.ndisks
-        if self.level is RaidLevel.RAID1:
-            return 0  # primary copy; mirrors are handled by the array
-        if self.level is RaidLevel.RAID5:
-            p = self.parity_disk(stripe)
-            assert p is not None
-            return (p + 1 + chunk_index) % self.ndisks
-        # RAID-6: data follows Q
-        q = self.q_disk(stripe)
-        assert q is not None
-        return (q + 1 + chunk_index) % self.ndisks
+        return self._data_disk(stripe, chunk_index)
 
     def locate(self, lpage: int) -> PageLocation:
         """Map a logical page to its stripe, member disk, and on-disk page."""
-        stripe = self.stripe_of(lpage)
-        within = lpage - stripe * self.stripe_data_pages
-        chunk_index, offset = divmod(within, self.chunk_pages)
-        disk = self.data_disk(stripe, chunk_index)
+        if lpage < 0:
+            raise ConfigError(f"negative logical page {lpage}")
+        stripe_pages = self.stripe_data_pages
+        stripe = lpage // stripe_pages
+        chunk_index, offset = divmod(lpage - stripe * stripe_pages,
+                                     self.chunk_pages)
         disk_page = stripe * self.chunk_pages + offset
         if self.pages_per_disk is not None and disk_page >= self.pages_per_disk:
             raise ConfigError(f"logical page {lpage} beyond array capacity")
-        return PageLocation(stripe=stripe, disk=disk, disk_page=disk_page)
+        return PageLocation(stripe, self._data_disk(stripe, chunk_index),
+                            disk_page)
 
     def parity_page(self, stripe: int, lpage: int) -> int:
         """On-disk page of the parity block covering ``lpage``'s position."""

@@ -7,6 +7,8 @@ when the device pool falls behind the arrival process.
 
 from __future__ import annotations
 
+import math
+
 from ..engine import SimEngine, TimingReport
 from ..errors import ConfigError, SimulationError, raises
 from ..traces.trace import Trace
@@ -26,21 +28,31 @@ def replay_trace(
     which is how the paper-style "replay for 30 minutes" is shrunk to
     laptop scale without changing the access pattern.  ``max_seconds``
     cuts the replay off after that much simulated time.
+
+    The first ``max_requests`` records are read column by column, one
+    ``tolist`` per column, so no per-record request object is built.
     """
-    if time_scale <= 0:
-        raise ConfigError("time_scale must be positive")
-    issued = 0
+    if not 0.0 < time_scale < math.inf:
+        raise ConfigError(
+            f"time_scale must be positive and finite, got {time_scale}")
+    if max_requests is not None and max_requests < 0:
+        raise ConfigError(f"max_requests must be >= 0, got {max_requests}")
+    if max_seconds is not None and math.isnan(max_seconds):
+        raise ConfigError(f"max_seconds must not be NaN, got {max_seconds}")
+    records = trace.records[:max_requests]
+    cutoff = math.inf if max_seconds is None else max_seconds
     last_time = 0.0
     last_done = 0.0
-    for req in trace:
-        t = req.time * time_scale
-        if max_seconds is not None and t > max_seconds:
+    for stamp, lba, npages, is_read in zip(
+        records["time"].tolist(), records["lba"].tolist(),
+        records["npages"].tolist(), records["is_read"].tolist(),
+    ):
+        t = stamp * time_scale
+        if t > cutoff:
             break
-        if max_requests is not None and issued >= max_requests:
-            break
-        done = system.submit(req.lba, req.npages, req.is_read, t)
-        last_done = max(last_done, done)
-        issued += 1
+        done = system.submit(lba, npages, is_read, t)
+        if done > last_done:
+            last_done = done
         last_time = t
     system.policy.finish()
     # The run lasts until the later of the last arrival and the last

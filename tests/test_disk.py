@@ -22,31 +22,31 @@ def test_params_validation():
 
 def test_sequential_access_skips_seek_and_rotation():
     d = HDD()
-    t1 = d.service_time(1000, 8, is_read=True)  # seek from parked head
-    t2 = d.service_time(1008, 8, is_read=True)  # head is already there
+    t1 = d.service_time(1000, 8)  # seek from parked head
+    t2 = d.service_time(1008, 8)  # head is already there
     assert t2 < t1
     assert t2 == pytest.approx(8 * 4096 / d.params.transfer_rate)
 
 
 def test_random_access_pays_seek_plus_rotation():
     d = HDD()
-    d.service_time(0, 1, is_read=True)
+    d.service_time(0, 1)
     far = d.capacity_pages // 2
-    t = d.service_time(far, 1, is_read=False)
+    t = d.service_time(far, 1)
     assert t > d.params.avg_rotational_latency
     assert t > 5 * MILLISECOND
 
 
 def test_longer_seeks_cost_more():
     d = HDD()
-    d.service_time(0, 1, True)
-    t_near = d.service_time(1000, 1, True)
+    d.service_time(0, 1)
+    t_near = d.service_time(1000, 1)
     d2 = HDD()
-    d2.service_time(0, 1, True)
-    t_far = d2.service_time(d2.capacity_pages - 1, 1, True)
+    d2.service_time(0, 1)
+    t_far = d2.service_time(d2.capacity_pages - 1, 1)
     assert t_far > t_near
 
 
 def test_zero_length_rejected():
     with pytest.raises(ConfigError):
-        HDD().service_time(0, 0, True)
+        HDD().service_time(0, 0)

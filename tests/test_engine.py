@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,13 @@ from repro.engine import (
     InstrumentationHook,
     OpRecord,
     SimEngine,
+    SSDResource,
 )
 from repro.errors import ConfigError, SimulationError
 from repro.faults.retry import retry_policy
 from repro.faults.schedule import FaultConfig, FaultSchedule
 from repro.harness.runner import build_policy
-from repro.raid import RAIDArray, RaidLevel
+from repro.raid import DiskOp, RAIDArray, RaidLevel
 from repro.sim.openloop import replay_trace
 from repro.traces import uniform_workload
 
@@ -68,6 +70,14 @@ def test_event_loop_rejects_negative_time():
         EventLoop().schedule(-0.1, lambda t: None)
 
 
+@pytest.mark.parametrize("time", [math.nan, math.inf])
+def test_event_loop_rejects_non_finite_time(time):
+    loop = EventLoop()
+    with pytest.raises(ConfigError, match=f"time {time}"):
+        loop.schedule(time, lambda t: None)
+    assert loop.run() == 0
+
+
 def test_event_loop_overflow_guard():
     loop = EventLoop()
 
@@ -103,6 +113,57 @@ def test_fcfs_queues_behind_the_device():
     assert w2.start == w1.finish  # queued behind op 1
     w3 = disk.serve(0, 1, True, w2.finish + 1.0)
     assert w3.start == w2.finish + 1.0  # idle gap honoured
+
+
+@pytest.mark.parametrize("as_iterator", [False, True])
+def test_two_phase_service_reads_before_writes(as_iterator):
+    ops = [DiskOp(1, 8, 1, False), DiskOp(0, 0, 1, True),
+           DiskOp(2, 64, 1, True), DiskOp(0, 0, 1, False)]
+
+    def batch():
+        return iter(ops) if as_iterator else ops
+
+    done, windows = make_system().serve_plain_phases(batch(), 0.0)
+    reads, writes = windows[:2], windows[2:]
+    assert len(writes) == 2  # a one-shot iterator yields its writes too
+    phase1 = max(w.finish for w in reads)
+    assert all(w.start == 0.0 for w in reads)
+    assert all(w.start >= phase1 for w in writes)
+    assert done == max(w.finish for w in writes)
+    # the hooked path times the same batch identically
+    assert make_system().run_disk_phases(batch(), 0.0) == done
+
+
+# ---------------------------------------------------------------- fault-free path
+
+
+def _serve_one(resource, earliest):
+    if isinstance(resource, DiskResource):
+        return resource.serve(64, 2, True, earliest)
+    return resource.serve_read(2, earliest)
+
+
+@pytest.mark.parametrize("make", [DiskResource, SSDResource])
+def test_resource_without_fault_stream_is_clean(make):
+    resource = make()
+    for earliest in (0.0, 0.0, 1.0):
+        window = _serve_one(resource, earliest)
+        assert window.ok
+        assert (window.fault, window.retries, window.fault_latency) == (
+            None, 0, 0.0)
+    assert resource.stall_time == 0.0
+    assert resource.busy_time > 0.0
+
+
+@pytest.mark.parametrize("make", [DiskResource, SSDResource])
+def test_resource_with_fault_stream_draws_once_per_command(make):
+    # Zero rates: no command faults, so none is retried and each draws once.
+    stream = FaultSchedule(FaultConfig(seed=3)).stream("dev")
+    resource = make(faults=stream, retry=retry_policy("backoff"))
+    for i in range(7):
+        window = _serve_one(resource, float(i))
+        assert window.ok and window.retries == 0
+    assert stream.draws == 7
 
 
 # ---------------------------------------------------------------- accounting

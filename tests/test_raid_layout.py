@@ -87,3 +87,24 @@ def test_capacity_bound_enforced():
     lay = RaidLayout(RaidLevel.RAID5, 5, chunk_pages=2, pages_per_disk=4)
     with pytest.raises(ConfigError):
         lay.locate(lay.capacity_pages + lay.stripe_data_pages)
+
+
+@pytest.mark.parametrize("level,ndisks", [
+    (RaidLevel.RAID0, 4), (RaidLevel.RAID1, 2), (RaidLevel.RAID1, 3),
+    (RaidLevel.RAID5, 3), (RaidLevel.RAID5, 5), (RaidLevel.RAID6, 4),
+    (RaidLevel.RAID6, 6),
+])
+def test_locate_agrees_with_stripe_of_and_data_disk(level, ndisks):
+    """``locate`` and ``data_disk`` share one rotation: every page of the
+    first stripes lands where the two public steps put it by hand, and
+    never on the stripe's P or Q disk."""
+    lay = RaidLayout(level, ndisks, chunk_pages=3, pages_per_disk=3 * 12)
+    for lpage in range(2 * ndisks * lay.stripe_data_pages):
+        stripe = lay.stripe_of(lpage)
+        within = lpage - stripe * lay.stripe_data_pages
+        chunk, offset = within // lay.chunk_pages, within % lay.chunk_pages
+        loc = lay.locate(lpage)
+        assert (loc.stripe, loc.disk, loc.disk_page) == (
+            stripe, lay.data_disk(stripe, chunk),
+            stripe * lay.chunk_pages + offset)
+        assert loc.disk not in (lay.parity_disk(stripe), lay.q_disk(stripe))

@@ -1,9 +1,11 @@
 """Tests for the full-system timing composition and the two load models."""
 
+import math
+
 import pytest
 
 from repro.cache import CacheConfig
-from repro.engine import SimEngine
+from repro.engine import EngineHook, SimEngine
 from repro.errors import ConfigError
 from repro.harness import build_policy, make_raid_for_trace
 from repro.raid import RAIDArray, RaidLevel
@@ -103,6 +105,61 @@ class TestOpenLoop:
         trace = uniform_workload(10, 100, iops=10, seed=0)
         with pytest.raises(ConfigError):
             replay_trace(make_system("wt"), trace, time_scale=0)
+
+    @pytest.mark.parametrize("time_scale", [math.nan, math.inf])
+    def test_non_finite_time_scale_rejected(self, time_scale):
+        trace = uniform_workload(10, 100, iops=10, seed=0)
+        with pytest.raises(ConfigError, match=f"got {time_scale}"):
+            replay_trace(make_system("wt"), trace, time_scale=time_scale)
+
+    def test_negative_max_requests_rejected(self):
+        trace = uniform_workload(10, 100, iops=10, seed=0)
+        with pytest.raises(ConfigError, match="got -1"):
+            replay_trace(make_system("wt"), trace, max_requests=-1)
+
+    def test_nan_max_seconds_rejected(self):
+        trace = uniform_workload(10, 100, iops=10, seed=0)
+        with pytest.raises(ConfigError, match="got nan"):
+            replay_trace(make_system("wt"), trace, max_seconds=math.nan)
+
+    @pytest.mark.parametrize("max_requests,max_seconds", [
+        (None, None), (0, None), (37, None), (500, None), (None, 0.5),
+        (60, 0.5), (None, "tie"),
+    ])
+    def test_replay_submits_the_trace_in_order(self, max_requests,
+                                               max_seconds):
+        """The columnar replay submits exactly what iterating the trace
+        gives, cut at ``max_requests`` and ``max_seconds``."""
+        trace = uniform_workload(120, 2000, read_ratio=0.5, iops=100, seed=4)
+        time_scale = 0.5
+        if max_seconds == "tie":  # a cut at an arrival keeps that arrival
+            max_seconds = trace[40].time * time_scale
+        expected = []
+        for req in trace:
+            arrival = req.time * time_scale
+            if max_seconds is not None and arrival > max_seconds:
+                break
+            if max_requests is not None and len(expected) >= max_requests:
+                break
+            expected.append((req.lba, req.npages, req.is_read, arrival))
+        if max_seconds is not None:
+            assert len(expected) < len(trace)  # the cut bites
+
+        class Submitted(EngineHook):
+            def __init__(self):
+                self.seen = []
+
+            def on_request_done(self, engine, record):
+                self.seen.append((record.lba, record.npages, record.is_read,
+                                  record.arrival))
+
+        system = make_system("wt")
+        hook = Submitted()
+        system.add_hook(hook)
+        rep = replay_trace(system, trace, max_requests=max_requests,
+                           max_seconds=max_seconds, time_scale=time_scale)
+        assert hook.seen == expected
+        assert rep.requests == len(expected)
 
 
 class TestClosedLoop:
