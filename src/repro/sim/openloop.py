@@ -13,6 +13,19 @@ from ..engine import SimEngine, TimingReport
 from ..errors import ConfigError, SimulationError, raises
 from ..traces.trace import Trace
 
+#: Records converted to Python scalars at a time, so a replay holds at
+#: most this many rows as lists however long the trace is.
+_CHUNK = 4096
+
+
+def _rows(records):
+    """``(time, lba, npages, is_read)`` of each record, read with one
+    ``tolist`` per column and chunk."""
+    for start in range(0, len(records), _CHUNK):
+        chunk = records[start:start + _CHUNK]
+        yield from zip(chunk["time"].tolist(), chunk["lba"].tolist(),
+                       chunk["npages"].tolist(), chunk["is_read"].tolist())
+
 
 @raises(SimulationError)
 def replay_trace(
@@ -29,8 +42,9 @@ def replay_trace(
     laptop scale without changing the access pattern.  ``max_seconds``
     cuts the replay off after that much simulated time.
 
-    The first ``max_requests`` records are read column by column, one
-    ``tolist`` per column, so no per-record request object is built.
+    The first ``max_requests`` records are read column by column, a
+    chunk at a time, so no per-record request object is built and a
+    ``max_seconds`` cut converts little past the last replayed record.
     """
     if not 0.0 < time_scale < math.inf:
         raise ConfigError(
@@ -39,14 +53,10 @@ def replay_trace(
         raise ConfigError(f"max_requests must be >= 0, got {max_requests}")
     if max_seconds is not None and math.isnan(max_seconds):
         raise ConfigError(f"max_seconds must not be NaN, got {max_seconds}")
-    records = trace.records[:max_requests]
     cutoff = math.inf if max_seconds is None else max_seconds
     last_time = 0.0
     last_done = 0.0
-    for stamp, lba, npages, is_read in zip(
-        records["time"].tolist(), records["lba"].tolist(),
-        records["npages"].tolist(), records["is_read"].tolist(),
-    ):
+    for stamp, lba, npages, is_read in _rows(trace.records[:max_requests]):
         t = stamp * time_scale
         if t > cutoff:
             break

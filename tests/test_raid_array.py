@@ -77,6 +77,34 @@ class TestSmallWrite:
         assert (OpKind.Q_PARITY, True) in kinds
 
 
+    @pytest.mark.parametrize("level,ndisks", [
+        (RaidLevel.RAID0, 4), (RaidLevel.RAID1, 2), (RaidLevel.RAID5, 5),
+        (RaidLevel.RAID6, 6),
+    ])
+    def test_one_page_writes_match_a_two_page_write(self, level, ndisks):
+        """With chunks of two or more pages, two consecutive pages never
+        share a (stripe, offset) group, so a two-page write, which goes
+        through the grouping loop, must give the ops, counters and disk
+        contents of the same pages written one at a time, which take the
+        one-page path."""
+        def array():
+            return RAIDArray(level, ndisks=ndisks, chunk_pages=2,
+                             pages_per_disk=64, page_size=64, store_data=True)
+
+        single, paired = array(), array()
+        for lpage in range(2 * ndisks * single.layout.stripe_data_pages - 1):
+            first, second = page_bytes(2 * lpage), page_bytes(2 * lpage + 1)
+            ops = (single.write(lpage, data=[first])
+                   + single.write(lpage + 1, data=[second]))
+            assert paired.write(lpage, npages=2, data=[first, second]) == ops
+        assert single.counters == paired.counters
+        for disk in range(ndisks):
+            pages = single._disk_data[disk]
+            assert pages.keys() == paired._disk_data[disk].keys()
+            for disk_page, block in pages.items():
+                assert np.array_equal(block, paired._disk_data[disk][disk_page])
+
+
 class TestPayload:
     def test_write_read_roundtrip(self):
         arr = r5(store=True)

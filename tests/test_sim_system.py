@@ -9,7 +9,7 @@ from repro.engine import EngineHook, SimEngine
 from repro.errors import ConfigError
 from repro.harness import build_policy, make_raid_for_trace
 from repro.raid import RAIDArray, RaidLevel
-from repro.sim import FioConfig, replay_trace, run_closed_loop
+from repro.sim import FioConfig, openloop, replay_trace, run_closed_loop
 from repro.traces import uniform_workload, zipf_workload
 
 
@@ -122,14 +122,17 @@ class TestOpenLoop:
         with pytest.raises(ConfigError, match="got nan"):
             replay_trace(make_system("wt"), trace, max_seconds=math.nan)
 
+    @pytest.mark.parametrize("chunk", [16, 4096])
     @pytest.mark.parametrize("max_requests,max_seconds", [
-        (None, None), (0, None), (37, None), (500, None), (None, 0.5),
-        (60, 0.5), (None, "tie"),
+        (None, None), (0, None), (37, None), (48, None), (500, None),
+        (None, 0.5), (60, 0.5), (None, "tie"),
     ])
-    def test_replay_submits_the_trace_in_order(self, max_requests,
-                                               max_seconds):
+    def test_replay_submits_the_trace_in_order(self, monkeypatch, chunk,
+                                               max_requests, max_seconds):
         """The columnar replay submits exactly what iterating the trace
-        gives, cut at ``max_requests`` and ``max_seconds``."""
+        gives, cut at ``max_requests`` and ``max_seconds``, whether the
+        records fit one chunk or span several."""
+        monkeypatch.setattr(openloop, "_CHUNK", chunk)
         trace = uniform_workload(120, 2000, read_ratio=0.5, iops=100, seed=4)
         time_scale = 0.5
         if max_seconds == "tie":  # a cut at an arrival keeps that arrival
