@@ -1,5 +1,7 @@
 """Tests for the page-mapped FTL: mapping, GC, write amplification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,3 +139,53 @@ def test_ftl_invariants_under_random_ops(ops):
     ftl.check_invariants()
     for lpn in range(16):
         assert ftl.is_mapped(lpn) == (lpn in mapped)
+
+
+def skewed_ops(ftl: PageMappedFTL, n: int, seed: int) -> None:
+    """80/20 skew over the exported pages, about one op in ten a trim."""
+    rng = np.random.default_rng(seed)
+    hot = ftl.exported_pages // 5
+    for _ in range(n):
+        lpn = int(rng.integers(0, hot if rng.random() < 0.8
+                               else ftl.exported_pages))
+        if rng.random() < 0.1:
+            ftl.trim(lpn)
+        else:
+            ftl.write(lpn)
+
+
+@pytest.mark.parametrize(
+    "planes, bpp, ppb, op, seed, n, gc_runs, relocations, digest",
+    [
+        (2, 16, 8, 0.25, 0, 6000, 1144, 4009,
+         "1101ab4d0855973ef6fa35ff5b857de10df619153605f626cadd38f013882a01"),
+        (4, 12, 4, 0.1, 1, 5000, 2242, 4666,
+         "19e7785f8f8dbeb7cdd3d5301f10027176b82ca1f78c6de4b9ce39f75c52c72d"),
+        (2, 24, 16, 0.3, 2, 8000, 624, 3486,
+         "44e79fd1beb98efb67cd65948306655220ac60093019f4924171112cc921a715"),
+    ],
+)
+def test_greedy_gc_is_pinned_where_it_relocates(
+    planes, bpp, ppb, op, seed, n, gc_runs, relocations, digest
+):
+    """Greedy GC's victim order, pinned on small devices where GC moves
+    valid pages: the counters and a digest of the mapping, valid counts,
+    write pointers and per-block erase counts."""
+    geo = FlashGeometry(
+        channels=planes,
+        dies_per_channel=1,
+        planes_per_die=1,
+        blocks_per_plane=bpp,
+        pages_per_block=ppb,
+    )
+    ftl = PageMappedFTL(geo, over_provisioning=op)
+    skewed_ops(ftl, n, seed)
+    assert (ftl.gc_runs, ftl.gc_relocations, ftl.wear.total_erases) == (
+        gc_runs, relocations, gc_runs
+    )
+    h = hashlib.sha256()
+    for arr in (ftl._l2p, ftl._p2l, ftl._valid_in_block,
+                ftl._writeptr_in_block, ftl.wear._erases):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
+    ftl.check_invariants()
