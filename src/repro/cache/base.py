@@ -20,8 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
-from ..flash.device import SSD
-from ..flash.geometry import FlashGeometry
+from ..flash.device import SSD, ssd_for_pages
 from ..raid.array import DiskOp, FastAccounting, RAIDArray
 from ..traces.trace import Trace
 from ..units import DEFAULT_PAGE_SIZE
@@ -99,9 +98,6 @@ class Outcome:
     is_read: bool
     #: SSD pages read while the request waits (data + delta reads).
     fg_ssd_reads: int = 0
-    #: SSD pages written while the request waits (none in practice; the
-    #: NVRAM buffers make cache-side writes asynchronous).
-    fg_ssd_writes: int = 0
     #: RAID member ops the request waits for (e.g. the small write's 2r+2w).
     fg_disk_ops: list[DiskOp] = field(default_factory=list)
     #: Asynchronous SSD page writes (read fills, cache writes, delta/meta commits).
@@ -182,12 +178,9 @@ class CachePolicy(ABC):
         self.meta_pages = config.meta_pages
         self.ssd: SSD | None = None
         if config.flash_model:
-            total = config.cache_pages + self.meta_pages
-            geometry = FlashGeometry.for_capacity(
-                int(total * config.page_size / (1 - 0.07) * 1.02),
-                page_size=config.page_size,
+            self.ssd = ssd_for_pages(
+                config.cache_pages + self.meta_pages, config.page_size
             )
-            self.ssd = SSD(geometry=geometry)
 
     # -- SSD accounting helpers ------------------------------------------
 
@@ -210,7 +203,7 @@ class CachePolicy(ABC):
         self.stats.ssd_reads += npages
 
     def _ssd_trim(self, lpn: int) -> None:
-        if self.ssd is not None and self.ssd.is_mapped(lpn):
+        if self.ssd is not None:
             self.ssd.trim(lpn)
 
     # -- the access interface ----------------------------------------------

@@ -2,22 +2,19 @@
 
 from .device import SSD, SSDLatency
 from .ftl import FREE, PageMappedFTL
-from .geometry import DEFAULT_GEOMETRY, FlashGeometry
+from .geometry import FlashGeometry
 from .wear import (
     MLC_ENDURANCE,
-    SLC_ENDURANCE,
     LifetimeEstimate,
     WearTracker,
     relative_lifetime,
 )
 
 __all__ = [
-    "DEFAULT_GEOMETRY",
     "FlashGeometry",
     "FREE",
     "PageMappedFTL",
     "MLC_ENDURANCE",
-    "SLC_ENDURANCE",
     "LifetimeEstimate",
     "WearTracker",
     "relative_lifetime",

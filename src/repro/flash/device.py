@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError, FlashError
 from ..units import GiB, MICROSECOND
-from .ftl import PageMappedFTL
+from .ftl import OVER_PROVISIONING, PageMappedFTL
 from .geometry import FlashGeometry
-from .wear import MLC_ENDURANCE, LifetimeEstimate
+from .wear import LifetimeEstimate
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,6 @@ class SSD:
         self,
         geometry: FlashGeometry | None = None,
         capacity_bytes: int | None = None,
-        endurance: int = MLC_ENDURANCE,
-        over_provisioning: float = 0.07,
         store_data: bool = False,
     ) -> None:
         if geometry is None:
@@ -56,9 +54,7 @@ class SSD:
         elif capacity_bytes is not None:
             raise ConfigError("pass either geometry or capacity_bytes, not both")
         self.geometry = geometry
-        self.ftl = PageMappedFTL(
-            geometry, over_provisioning=over_provisioning, endurance=endurance
-        )
+        self.ftl = PageMappedFTL(geometry)
         self._data: dict[int, bytes] | None = {} if store_data else None
 
     # -- capacity ---------------------------------------------------------
@@ -124,3 +120,16 @@ class SSD:
             write_amplification=self.write_amplification,
             host_writes_per_day=host_writes_per_day,
         )
+
+
+def ssd_for_pages(pages: int, page_size: int) -> SSD:
+    """The device that backs ``pages`` host pages of ``page_size`` bytes.
+
+    Sized so the exported capacity, after over-provisioning, holds them
+    with 2 % to spare.
+    """
+    geometry = FlashGeometry.for_capacity(
+        int(pages * page_size / (1 - OVER_PROVISIONING) * 1.02),
+        page_size=page_size,
+    )
+    return SSD(geometry=geometry)

@@ -16,40 +16,25 @@ import numpy as np
 
 from ..errors import CapacityError, ConfigError, FlashError
 from .geometry import FlashGeometry
-from .wear import MLC_ENDURANCE, WearTracker
+from .wear import WearTracker
 
 FREE = -1
+#: Share of the raw pages the FTL keeps back from the host.
+OVER_PROVISIONING = 0.07
 
 
 class PageMappedFTL:
     """Log-structured page-mapping FTL with greedy garbage collection."""
 
-    #: Supported GC victim-selection policies.
-    GC_POLICIES = ("greedy", "fifo", "cost-benefit")
-
     def __init__(
         self,
         geometry: FlashGeometry,
-        over_provisioning: float = 0.07,
-        gc_free_block_threshold: int | None = None,
-        endurance: int = MLC_ENDURANCE,
-        gc_policy: str = "greedy",
-        hot_cold: bool = False,
+        over_provisioning: float = OVER_PROVISIONING,
     ) -> None:
         if not 0.0 <= over_provisioning < 0.5:
             raise ConfigError("over_provisioning must be in [0, 0.5)")
-        if gc_policy not in self.GC_POLICIES:
-            raise ConfigError(
-                f"unknown gc_policy {gc_policy!r}; choose from {self.GC_POLICIES}"
-            )
-        self.gc_policy = gc_policy
-        #: Hot/cold separation: GC relocations (cold data, by definition it
-        #: survived a whole block's lifetime) go to their own frontier so
-        #: they stop being re-copied alongside hot pages — the technique
-        #: behind Kgil et al.'s split read/write regions (§V-C).
-        self.hot_cold = hot_cold
         self.geometry = geometry
-        self.wear = WearTracker(geometry, endurance=endurance)
+        self.wear = WearTracker(geometry)
         self.exported_pages = int(geometry.total_pages * (1.0 - over_provisioning))
         if self.exported_pages < geometry.pages_per_block:
             raise ConfigError("geometry too small for requested over-provisioning")
@@ -68,16 +53,8 @@ class PageMappedFTL:
         #: Blocks across all free pools, kept in step with them: GC checks
         #: it on every host write.
         self._free_count = g.total_blocks - g.planes
-        #: cold-data frontier (GC relocations) when hot/cold separation is on;
-        #: allocated lazily so small geometries are not forced to reserve it.
-        self._active_cold: list[int] = [FREE] * g.planes if hot_cold else []
         self._next_plane = 0
-        self._program_seq = 0
-        self._seal_seq = np.full(g.total_blocks, -1, dtype=np.int64)
-
-        if gc_free_block_threshold is None:
-            gc_free_block_threshold = max(2, g.total_blocks // 64)
-        self.gc_free_block_threshold = gc_free_block_threshold
+        self.gc_free_block_threshold = max(2, g.total_blocks // 64)
 
         # Traffic counters (pages).
         self.host_writes = 0
@@ -155,53 +132,29 @@ class PageMappedFTL:
         if self._valid_in_block[block] < 0:
             raise FlashError(f"negative valid count in block {block}")
 
-    def _frontier(self, for_gc: bool) -> list[int]:
-        """The active-block list this write should append to."""
-        if self.hot_cold and for_gc:
-            return self._active_cold
-        return self._active_block
-
     def _allocate_page(self, for_gc: bool) -> int:
         g = self.geometry
-        frontier = self._frontier(for_gc)
         for _ in range(g.planes):
             plane = self._next_plane
             self._next_plane = (self._next_plane + 1) % g.planes
-            block = frontier[plane]
+            block = self._active_block[plane]
             if block == FREE or self._writeptr_in_block[block] >= g.pages_per_block:
-                self._seal(block)
-                block = self._new_active_block(plane, frontier)
+                block = self._new_active_block(plane)
                 if block == FREE:
                     continue
             offset = self._writeptr_in_block[block]
             self._writeptr_in_block[block] += 1
             self._valid_in_block[block] += 1
-            self._program_seq += 1
-            if self._writeptr_in_block[block] >= g.pages_per_block:
-                self._seal(block)
             return block * g.pages_per_block + offset
-        if self.hot_cold and for_gc:
-            # cold frontier starved: fall back to the shared hot frontier
-            self.hot_cold = False
-            try:
-                return self._allocate_page(for_gc)
-            finally:
-                self.hot_cold = True
         raise CapacityError(
             "flash device out of free blocks"
             + ("" if for_gc else " (GC could not keep up)")
         )
 
-    def _seal(self, block: int) -> None:
-        if block != FREE and self._seal_seq[block] < 0:
-            self._seal_seq[block] = self._program_seq
-
-    def _new_active_block(self, plane: int, frontier: list[int] | None = None) -> int:
-        if frontier is None:
-            frontier = self._active_block
+    def _new_active_block(self, plane: int) -> int:
         pool = self._free_blocks[plane]
         if not pool:
-            frontier[plane] = FREE
+            self._active_block[plane] = FREE
             return FREE
         if len(pool) > 1:
             # pick the least-worn free block: cheap static wear levelling
@@ -211,8 +164,7 @@ class PageMappedFTL:
         else:
             block = pool.popleft()
         self._free_count -= 1
-        frontier[plane] = block
-        self._seal_seq[block] = -1
+        self._active_block[plane] = block
         return block
 
     def _maybe_gc(self) -> None:
@@ -221,7 +173,7 @@ class PageMappedFTL:
                 break
 
     def _collect_once(self) -> bool:
-        """One GC pass: pick a victim per policy, relocate, erase."""
+        """One GC pass: relocate the greedy victim's valid pages, erase it."""
         g = self.geometry
         ppb = g.pages_per_block
         # Candidates: fully-written blocks that are not active.
@@ -229,13 +181,12 @@ class PageMappedFTL:
         for block in self._active_block:
             if block != FREE:
                 full[block] = False
-        for block in self._active_cold:
-            if block != FREE:
-                full[block] = False
         candidates = np.flatnonzero(full)
         if candidates.size == 0:
             return False
-        victim = self._select_victim(candidates, ppb)
+        # greedy: the candidate with the fewest valid pages (first on ties)
+        valid = self._valid_in_block[candidates].astype(np.float64)
+        victim = int(candidates[np.argmin(valid)])
         if self._valid_in_block[victim] >= ppb:
             return False  # nothing reclaimable anywhere
         base = victim * ppb
@@ -253,34 +204,10 @@ class PageMappedFTL:
         self.gc_runs += 1
         return True
 
-    def _select_victim(self, candidates: np.ndarray, ppb: int) -> int:
-        """GC victim per the configured policy.
-
-        * greedy — fewest valid pages (default; best immediate yield);
-        * fifo — oldest sealed block (even wear, poor yield on skew);
-        * cost-benefit — LFS formula age * free_space / (2 * utilisation):
-          prefers old blocks whose remaining valid data has gone cold.
-        """
-        valid = self._valid_in_block[candidates].astype(np.float64)
-        if self.gc_policy == "greedy":
-            return int(candidates[np.argmin(valid)])
-        if self.gc_policy == "fifo":
-            # oldest sealed block that actually has reclaimable space;
-            # relocating a fully-valid block would free nothing net
-            reclaimable = candidates[valid < ppb]
-            if reclaimable.size == 0:
-                return int(candidates[0])  # caller detects full-valid and stops
-            return int(reclaimable[np.argmin(self._seal_seq[reclaimable])])
-        age = (self._program_seq - self._seal_seq[candidates]).astype(np.float64)
-        u = valid / ppb
-        benefit = age * (1.0 - u) / (2.0 * u + 1e-9)
-        return int(candidates[np.argmax(benefit)])
-
     def _erase_block(self, block: int) -> None:
         if self._valid_in_block[block] != 0:
             raise FlashError(f"erasing block {block} with valid pages")
         self._writeptr_in_block[block] = 0
-        self._seal_seq[block] = -1
         self.wear.record_erase(block)
         self._free_blocks[self.geometry.plane_of_block(block)].append(block)
         self._free_count += 1

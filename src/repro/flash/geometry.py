@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..units import DEFAULT_PAGE_SIZE, GiB
+from ..units import DEFAULT_PAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,3 @@ class FlashGeometry:
             pages_per_block=pages_per_block,
             page_size=page_size,
         )
-
-
-#: A small default geometry (~1 GiB with 8x2x2 planes) mirroring the
-#: paper's 1 GB cache partition of a 120 GB SSD.
-DEFAULT_GEOMETRY = FlashGeometry.for_capacity(1 * GiB)

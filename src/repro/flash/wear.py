@@ -18,8 +18,6 @@ from .geometry import FlashGeometry
 
 #: Typical MLC endurance (erase cycles per block).
 MLC_ENDURANCE = 10_000
-#: Typical SLC endurance.
-SLC_ENDURANCE = 100_000
 
 
 class WearTracker:

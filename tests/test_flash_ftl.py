@@ -141,17 +141,46 @@ def test_ftl_invariants_under_random_ops(ops):
         assert ftl.is_mapped(lpn) == (lpn in mapped)
 
 
-def skewed_ops(ftl: PageMappedFTL, n: int, seed: int) -> None:
-    """80/20 skew over the exported pages, about one op in ten a trim."""
+def skewed_ops(ftl: PageMappedFTL, n: int, seed: int, trims: float = 0.1) -> None:
+    """80/20 skew over the exported pages, a ``trims`` share of ops trims."""
     rng = np.random.default_rng(seed)
     hot = ftl.exported_pages // 5
     for _ in range(n):
+        lpn = int(rng.integers(0, hot if rng.random() < 0.8
+                               else ftl.exported_pages))
+        if rng.random() < trims:
+            ftl.trim(lpn)
+        else:
+            ftl.write(lpn)
+
+
+def test_skewed_writes_preserve_mapping_invariants():
+    ftl = small_ftl(bpp=16)
+    skewed_ops(ftl, 3000, seed=0, trims=0.0)
+    ftl.check_invariants()
+    assert ftl.gc_runs > 0
+    assert ftl.write_amplification >= 1.0
+
+
+def test_free_block_count_tracks_the_pools():
+    """The running free-block count equals the pools' total after every
+    write, trim and GC pass."""
+    ftl = small_ftl(bpp=16)
+    rng = np.random.default_rng(7)
+    hot = ftl.exported_pages // 5
+    for _ in range(3000):
         lpn = int(rng.integers(0, hot if rng.random() < 0.8
                                else ftl.exported_pages))
         if rng.random() < 0.1:
             ftl.trim(lpn)
         else:
             ftl.write(lpn)
+        assert ftl.free_block_count == sum(len(q) for q in ftl._free_blocks)
+    assert ftl.gc_runs > 0
+    ftl.check_invariants()
+    ftl._free_count += 1
+    with pytest.raises(FlashError, match="free-block count"):
+        ftl.check_invariants()
 
 
 @pytest.mark.parametrize(
