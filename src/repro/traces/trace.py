@@ -79,8 +79,16 @@ class Trace:
             raise TraceFormatError(
                 f"records must have dtype IO_DTYPE, got {records.dtype}"
             )
-        if len(records) and np.any(np.diff(records["time"]) < 0):
-            records = records[np.argsort(records["time"], kind="stable")]
+        time = records["time"]
+        finite = np.isfinite(time)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise TraceFormatError(
+                f"record {first} has a non-finite arrival time "
+                f"{float(time[first])}"
+            )
+        if len(records) and np.any(np.diff(time) < 0):
+            records = records[np.argsort(time, kind="stable")]
         if len(records) and np.any(records["npages"] < 1):
             raise TraceFormatError("trace contains zero-length requests")
         self._records = records
@@ -175,8 +183,10 @@ class Trace:
 
     def scaled_time(self, factor: float) -> "Trace":
         """Uniformly compress (<1) or stretch (>1) arrival times."""
-        if factor <= 0:
-            raise ConfigError("time scale factor must be positive")
+        if not 0 < factor < float("inf"):
+            raise ConfigError(
+                f"time scale factor must be positive and finite, got {factor}"
+            )
         rec = self._records.copy()
         rec["time"] *= factor
         return Trace(rec, name=self.name, page_size=self.page_size)

@@ -244,6 +244,14 @@ class TestNonFiniteInputs:
             "epoch_s=1e-07 spans 1.2e+09 epochs, more than the cap of "
             "1000000\n")
 
+    def test_non_finite_trace_time(self, tmp_path, capsys):
+        spc = tmp_path / "nan.spc"
+        spc.write_text("0,0,4096,r,0\n0,8,4096,w,nan\n0,16,4096,r,1\n")
+        assert cli_main(["simulate", "wt", "--workload", str(spc),
+                         "--cache-pages", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "kdd-repro simulate: record 1 has a non-finite arrival time nan\n")
+
     @pytest.mark.parametrize("suffix", [".spc", ".csv"])
     def test_missing_trace_file(self, tmp_path, capsys, suffix):
         missing = tmp_path / f"missing{suffix}"

@@ -87,6 +87,23 @@ def test_scaled_time():
         tr.scaled_time(0.0)
 
 
+@pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+def test_scaled_time_rejects_non_finite_factors(factor):
+    tr = make_trace([(0.0, 1, 1, True), (4.0, 2, 1, True)])
+    with pytest.raises(ConfigError, match=f"positive and finite, got {factor}"):
+        tr.scaled_time(factor)
+
+
+@pytest.mark.parametrize("times, bad", [
+    ([0.0, float("nan"), 1.0], "record 1 has a non-finite arrival time nan"),
+    ([float("inf"), 0.5], "record 0 has a non-finite arrival time inf"),
+    ([0.0, float("-inf")], "record 1 has a non-finite arrival time -inf"),
+])
+def test_rejects_non_finite_arrival_times(times, bad):
+    with pytest.raises(TraceFormatError, match=bad):
+        make_trace([(t, i, 1, True) for i, t in enumerate(times)])
+
+
 def test_records_view_is_readonly():
     tr = make_trace([(0.0, 1, 1, True)])
     with pytest.raises(ValueError):
