@@ -234,6 +234,10 @@ class PartitionedCache:
             self._scores[i] = (1.0 - alpha) * self._scores[i] + alpha * density
         self.realloc.passes += 1
         for i, target in enumerate(self._target_quotas()):
+            policy = self.policies[i]
+            if policy.ssd is not None:
+                # the tenant's flash device keeps the size it was built with
+                target = min(target, policy.ssd.capacity_pages - policy.meta_pages)
             current = self._quotas[i]
             if abs(target - current) <= current // _RESIZE_DEADBAND:
                 continue

@@ -279,6 +279,33 @@ class TestServeSweep:
         assert len(row["per_tenant"]) == 4
 
 
+    def test_dynamic_flash_tenants_stay_inside_their_devices(self, monkeypatch):
+        """A tenant's flash device is sized for its first quota, so
+        reallocation may not grow its directory past what the device
+        exports."""
+        import repro.harness.servesweep as servesweep
+
+        built = []
+
+        def record(*args, **kwargs):
+            built.append(build_policy(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(servesweep, "build_policy", record)
+        cell = serve_cell(policy="wt", cache_pages=16384, n_tenants=2,
+                          dynamic=True, seed=0, universe_pages=16384,
+                          base_iops=200.0, max_requests=20000,
+                          realloc_period=2000, min_fraction=0.05,
+                          diurnal_amplitude=0.9, diurnal_period_s=120.0,
+                          flash_model=True)
+        row = run_serve_cell(cell)
+        assert row["resizes"] > 0
+        assert len(built) == 2
+        for policy in built:
+            assert (policy.sets.capacity_pages + policy.meta_pages
+                    <= policy.ssd.capacity_pages)
+
+
 class TestBoundedMetricState:
     def test_million_requests_thousand_tenants(self):
         """The scaling acceptance: 1M composed requests over 1000
