@@ -154,16 +154,14 @@ class LeavO(SetAssocPolicy):
             if (l := self.sets.lookup(lba)).state is OLD
         ]
         if not old_lines:
-            self.raid.parity_update(stripe, deltas={}, cached_pages=[])
+            self.raid.parity_update(stripe, cached_pages=[])
             return
         all_cached = len(cached) == len(stripe_lbas)
         # SSD reads to source the parity computation: old+new per changed
         # page for rmw, every data page for rcw.
         self._ssd_read(len(stripe_lbas) if all_cached else 2 * len(old_lines))
         ops = self.raid.parity_update(
-            stripe,
-            deltas={l.lba: b"" for l in old_lines},
-            cached_pages=cached,
+            stripe, [l.lba for l in old_lines], cached_pages=cached
         )
         out.bg_disk_ops.extend(ops)
         for line in old_lines:

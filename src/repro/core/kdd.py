@@ -467,11 +467,10 @@ class KDD(SetAssocPolicy):
             l for lba in cached
             if (l := self.sets.lookup(lba)).state is OLD
         ]
-        deltas = {l.lba: b"" for l in old_lines}
-        if not deltas:
+        if not old_lines:
             if self.shim is not None:
                 self.shim.point("cleaner_parity", stripe=stripe)
-            out.bg_disk_ops.extend(self.raid.parity_update(stripe, deltas={}, cached_pages=cached))
+            out.bg_disk_ops.extend(self.raid.parity_update(stripe, cached_pages=cached))
             return
         self.cleanings += 1
 
@@ -489,7 +488,9 @@ class KDD(SetAssocPolicy):
             # delta in place — exactly the state the cleaner found.
             self.shim.point("cleaner_parity", stripe=stripe)
         out.bg_disk_ops.extend(
-            self.raid.parity_update(stripe, deltas=deltas, cached_pages=cached)
+            self.raid.parity_update(
+                stripe, [l.lba for l in old_lines], cached_pages=cached
+            )
         )
 
         for line in old_lines:

@@ -252,7 +252,7 @@ class KDDDataPath:
             if (l := self.sets.lookup(lba)).state is PageState.OLD
         ]
         self.raid.parity_update(
-            stripe, deltas={l.lba: b"" for l in old_lines}, cached_pages=cached
+            stripe, [l.lba for l in old_lines], cached_pages=cached
         )
         for line in old_lines:
             self._invalidate_delta(line.lba)

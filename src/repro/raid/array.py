@@ -21,7 +21,7 @@ reconstruct-write mode).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -718,7 +718,7 @@ class RAIDArray:
     def parity_update(
         self,
         stripe: int,
-        deltas: Mapping[int, bytes | np.ndarray] | None = None,
+        changed_pages: Iterable[int] | None = None,
         cached_pages: Sequence[int] = (),
         force_mode: str | None = None,
     ) -> list[DiskOp]:
@@ -726,12 +726,16 @@ class RAIDArray:
 
         *Reconstruct-write* is used when every data page of the stripe is
         available without disk reads (all cached, per Section III-D);
-        otherwise *read-modify-write* reads the stale parity and XORs in
-        the ``deltas`` (``old ^ new`` per changed logical page).
+        otherwise *read-modify-write* reads the stale parity at the
+        chunk offsets of ``changed_pages`` (every offset when none of the
+        stripe's pages is given) and writes it back with the changes
+        XORed in.
 
-        ``deltas`` maps logical page -> XOR delta; required for payload
-        correctness in rmw mode when data is stored.  ``cached_pages``
-        lists the stripe's logical pages resident in the SSD cache.
+        ``changed_pages`` are the logical pages written since the parity
+        was last right; pages of other stripes are ignored.  With stored
+        data the parity is recomputed from the data pages, so only which
+        pages changed matters.  ``cached_pages`` lists the stripe's
+        logical pages resident in the SSD cache.
         """
         if stripe not in self.stale_stripes:
             return []
@@ -755,11 +759,11 @@ class RAIDArray:
                 if self._disk_data is not None:
                     self._recompute_parity_at(stripe, offset, parity)
         else:
-            # Read stale parity pages, XOR deltas in, write back.
+            # Read stale parity pages, XOR the changes in, write back.
             touched_offsets = sorted(
                 {
                     (lp - stripe * self.layout.stripe_data_pages) % chunk_pages
-                    for lp in (deltas or all_pages)
+                    for lp in (changed_pages or ())
                     if self.layout.stripe_of(lp) == stripe
                 }
             ) or list(range(chunk_pages))

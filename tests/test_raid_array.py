@@ -143,7 +143,7 @@ class TestDelayedParity:
         arr = r5()
         arr.write_without_parity_update(0)
         stripe = arr.layout.stripe_of(0)
-        ops = arr.parity_update(stripe, deltas={0: b""}, cached_pages=[0])
+        ops = arr.parity_update(stripe, [0], cached_pages=[0])
         parity_reads = [o for o in ops if o.is_read and o.kind is OpKind.PARITY]
         parity_writes = [o for o in ops if not o.is_read and o.kind is OpKind.PARITY]
         assert len(parity_reads) == 1 and len(parity_writes) == 1
@@ -168,7 +168,7 @@ class TestDelayedParity:
         arr.write_without_parity_update(1, data=page_bytes(1))
         stripe = arr.layout.stripe_of(1)
         assert not arr.verify_stripe(stripe)  # parity is stale
-        arr.parity_update(stripe, deltas={1: b""}, cached_pages=[1])
+        arr.parity_update(stripe, [1], cached_pages=[1])
         assert arr.verify_stripe(stripe)
 
     def test_delayed_parity_requires_parity_level(self):
