@@ -141,9 +141,9 @@ def test_ftl_invariants_under_random_ops(ops):
         assert ftl.is_mapped(lpn) == (lpn in mapped)
 
 
-def skewed_ops(ftl: PageMappedFTL, n: int, seed: int, trims: float = 0.1) -> None:
+def skewed_ops(ftl: PageMappedFTL, n: int, rng: np.random.Generator,
+               trims: float = 0.1) -> None:
     """80/20 skew over the exported pages, a ``trims`` share of ops trims."""
-    rng = np.random.default_rng(seed)
     hot = ftl.exported_pages // 5
     for _ in range(n):
         lpn = int(rng.integers(0, hot if rng.random() < 0.8
@@ -156,7 +156,7 @@ def skewed_ops(ftl: PageMappedFTL, n: int, seed: int, trims: float = 0.1) -> Non
 
 def test_skewed_writes_preserve_mapping_invariants():
     ftl = small_ftl(bpp=16)
-    skewed_ops(ftl, 3000, seed=0, trims=0.0)
+    skewed_ops(ftl, 3000, np.random.default_rng(0), trims=0.0)
     ftl.check_invariants()
     assert ftl.gc_runs > 0
     assert ftl.write_amplification >= 1.0
@@ -167,14 +167,8 @@ def test_free_block_count_tracks_the_pools():
     write, trim and GC pass."""
     ftl = small_ftl(bpp=16)
     rng = np.random.default_rng(7)
-    hot = ftl.exported_pages // 5
     for _ in range(3000):
-        lpn = int(rng.integers(0, hot if rng.random() < 0.8
-                               else ftl.exported_pages))
-        if rng.random() < 0.1:
-            ftl.trim(lpn)
-        else:
-            ftl.write(lpn)
+        skewed_ops(ftl, 1, rng)
         assert ftl.free_block_count == sum(len(q) for q in ftl._free_blocks)
     assert ftl.gc_runs > 0
     ftl.check_invariants()
@@ -208,7 +202,7 @@ def test_greedy_gc_is_pinned_where_it_relocates(
         pages_per_block=ppb,
     )
     ftl = PageMappedFTL(geo, over_provisioning=op)
-    skewed_ops(ftl, n, seed)
+    skewed_ops(ftl, n, np.random.default_rng(seed))
     assert (ftl.gc_runs, ftl.gc_relocations, ftl.wear.total_erases) == (
         gc_runs, relocations, gc_runs
     )

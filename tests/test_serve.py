@@ -278,7 +278,6 @@ class TestServeSweep:
         row = run_serve_cell(cell)
         assert len(row["per_tenant"]) == 4
 
-
     def test_dynamic_flash_tenants_stay_inside_their_devices(self, monkeypatch):
         """A tenant's flash device is sized for its first quota, so
         reallocation may not grow its directory past what the device
