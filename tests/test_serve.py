@@ -282,15 +282,13 @@ class TestServeSweep:
         """A tenant's flash device is sized for its first quota, so
         reallocation may not grow its directory past what the device
         exports."""
-        import repro.harness.servesweep as servesweep
-
         built = []
 
         def record(*args, **kwargs):
             built.append(build_policy(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(servesweep, "build_policy", record)
+        monkeypatch.setattr("repro.harness.servesweep.build_policy", record)
         cell = serve_cell(policy="wt", cache_pages=16384, n_tenants=2,
                           dynamic=True, seed=0, universe_pages=16384,
                           base_iops=200.0, max_requests=20000,
