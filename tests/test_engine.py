@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.cache import CacheConfig
 from repro.engine import (
     DiskResource,
+    EngineHook,
     EventLoop,
     FaultPipelineHook,
     InstrumentationHook,
@@ -87,6 +88,47 @@ def test_event_loop_overflow_guard():
     loop.schedule(0.0, reschedule)
     with pytest.raises(SimulationError):
         loop.run(max_events=100)
+
+
+# ---------------------------------------------------------------- submit's clock
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf])
+def test_submit_rejects_non_finite_arrival(time):
+    system = make_system()
+    with pytest.raises(ConfigError, match=f"time {time}"):
+        system.submit(0, 1, True, time)
+    with pytest.raises(ConfigError, match=f"time {time}"):
+        system.inject_disk_ops([DiskOp(0, 0, 1, True)], time)
+    assert system.loop.now == 0.0
+    assert len(system.recorder) == 0
+
+
+class _ClockHook(EngineHook):
+    def __init__(self):
+        self.seen = []
+        self.records = []
+
+    def on_request(self, engine, now):
+        self.seen.append(now)
+
+    def on_request_done(self, engine, record):
+        self.records.append(record)
+
+
+def test_late_arrival_keeps_the_clock_and_its_own_arrival():
+    """A request handed over behind the clock does not rewind ``now``,
+    and its response time still counts from its own arrival."""
+    system = make_system()
+    hook = _ClockHook()
+    system.add_hook(hook)
+    system.submit(0, 1, True, 5.0)
+    completion = system.submit(64, 1, True, 1.0)
+    assert system.loop.now == 5.0
+    assert hook.seen == [5.0, 5.0]
+    late = hook.records[1]
+    assert late.arrival == 1.0 and late.completion == completion
+    assert late.response_time == completion - 1.0
 
 
 # ---------------------------------------------------------------- OpRecord
