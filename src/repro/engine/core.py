@@ -4,11 +4,14 @@ Everything that advances simulated time in this repository lives in
 :mod:`repro.engine` (enforced by analyzer rule RPR009).  This module
 holds the two primitives the rest of the engine builds on:
 
-* :class:`EventLoop` — a deterministic event heap.  Events are ordered
-  by ``(time, seq)`` where ``seq`` is a monotonically increasing
-  sequence number assigned at scheduling time, so equal-time events pop
-  in scheduling order — never in hash or identity order.  There is no
-  wall clock anywhere: ``now`` only moves when an event is popped.
+* :class:`EventLoop` — the simulated clock and a deterministic event
+  heap.  Events are ordered by ``(time, seq)`` where ``seq`` is a
+  monotonically increasing sequence number assigned at scheduling time,
+  so equal-time events pop in scheduling order — never in hash or
+  identity order.  There is no wall clock anywhere: ``now`` moves only
+  when an event is popped or when :meth:`EventLoop.advance` steps it to
+  the arrival of work handled directly (sources submit in arrival
+  order, so that arrival is the next event).
 * :class:`OpRecord` — the typed record of one device operation (who,
   what, when queued, when started, when finished, what went wrong).
   Resources emit one per serve; the instrumentation hook aggregates
@@ -16,8 +19,8 @@ holds the two primitives the rest of the engine builds on:
   queue-depth histograms.
 
 The loop is intentionally small: workload drivers (open-loop replay,
-closed-loop threads, rebuild batches) are *sources* that schedule
-events; device timing is the resources' job
+closed-loop threads, rebuild batches) are *sources* that submit work
+in arrival order; device timing is the resources' job
 (:mod:`repro.engine.resources`); cross-cutting behaviour (faults,
 instrumentation) hangs off the hook protocol
 (:mod:`repro.engine.hooks`).
@@ -120,13 +123,24 @@ class Event:
     action: Callable[[float], None] = field(compare=False)
 
 
-class EventLoop:
-    """Deterministic event heap; the only thing that moves ``now``.
+def _check_time(time: float) -> None:
+    # A NaN compares false against every bound: it would corrupt the
+    # heap order and stall the clock.
+    if not 0.0 <= time < math.inf:
+        raise ConfigError(
+            f"cannot schedule an event at time {time}: "
+            "need a finite time >= 0"
+        )
 
-    ``now`` is monotone: popping an event with a timestamp behind the
-    current clock (a source handing over late work, e.g. a rebuild
-    batch injected while the foreground ran ahead) keeps ``now`` where
-    it is — the action still sees its scheduled time as argument.
+
+class EventLoop:
+    """The simulated clock and a deterministic event heap; the only
+    thing that moves ``now``.
+
+    ``now`` is monotone: an event or an :meth:`advance` with a
+    timestamp behind the current clock (a source handing over late
+    work, e.g. a rebuild batch injected while the foreground ran ahead)
+    keeps ``now`` where it is — the work still runs at its own time.
     """
 
     def __init__(self) -> None:
@@ -134,17 +148,25 @@ class EventLoop:
         self._heap: list[Event] = []
         self._seq = 0
 
+    def advance(self, time: float) -> None:
+        """Step ``now`` forward to ``time``, for work run at ``time``
+        without a heap round trip.
+
+        With an empty heap and sources submitting in arrival order,
+        this followed by the work itself is what scheduling the work at
+        ``time`` and running the heap does.  ``time`` must be finite and
+        >= 0, as for :meth:`schedule`.
+        """
+        _check_time(time)
+        if time > self.now:
+            self.now = time
+
     def schedule(self, time: float, action: Callable[[float], None]) -> Event:
         """Schedule ``action(time)`` at ``time``; ties pop in FIFO order.
 
-        ``time`` must be finite and >= 0: a NaN would compare false
-        against every bound and corrupt the heap order.
+        ``time`` must be finite and >= 0.
         """
-        if not 0.0 <= time < math.inf:
-            raise ConfigError(
-                f"cannot schedule an event at time {time}: "
-                "need a finite time >= 0"
-            )
+        _check_time(time)
         event = Event(time=time, seq=self._seq, action=action)
         self._seq += 1
         heapq.heappush(self._heap, event)

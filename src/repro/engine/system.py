@@ -29,11 +29,12 @@ pre-engine implementation):
   finished and occupies the devices — delaying later requests, but not
   the request that caused it.
 
-Events enter a deterministic heap (:class:`~repro.engine.core.EventLoop`)
-and are resolved with lookahead: handling a request event resolves all
-of its device acquisitions inline against the resource clocks, which
-implements FCFS exactly because sources submit in global arrival
-order.
+Sources submit in global arrival order, so each request is the next
+event: :meth:`SimEngine.submit` steps the clock
+(:meth:`~repro.engine.core.EventLoop.advance`) to its arrival and
+handles it directly, with no heap round trip.  Handling a request
+resolves all of its device acquisitions inline against the resource
+clocks (lookahead), which implements FCFS exactly for the same reason.
 """
 
 from __future__ import annotations
@@ -235,17 +236,15 @@ class SimEngine:
     @raises(SimulationError)
     def submit(self, lba: int, npages: int, is_read: bool,
                arrival: float) -> float:
-        """Process one foreground request; returns its completion time."""
+        """Process one foreground request; returns its completion time.
+
+        ``arrival`` must be finite and >= 0.  The clock steps to it
+        (never back) and the request is handled at ``arrival``.
+        """
         if arrival < 0:
             raise ConfigError("arrival time must be >= 0")
-        results: list[float] = []
-
-        def fire(at: float) -> None:
-            results.append(self._handle_request(lba, npages, is_read, at))
-
-        self.loop.schedule(arrival, fire)
-        self.loop.run()
-        return results[0]
+        self.loop.advance(arrival)
+        return self._handle_request(lba, npages, is_read, arrival)
 
     @raises(SimulationError)
     def submit_request(self, req: IORequest) -> float:
@@ -254,7 +253,7 @@ class SimEngine:
 
     @raises(SimulationError)
     def inject_disk_ops(self, ops: Sequence[DiskOp], at: float) -> float:
-        """Schedule external member I/O (e.g. rebuild traffic) at ``at``.
+        """Run external member I/O (e.g. rebuild traffic) at ``at``.
 
         The ops occupy the disks and delay subsequent foreground
         requests, exactly like a rebuild running under load.  They run
@@ -263,15 +262,8 @@ class SimEngine:
         """
         if at < 0:
             raise ConfigError("injection time must be >= 0")
-        results: list[float] = []
-
-        def fire(when: float) -> None:
-            results.append(self.run_disk_phases(ops, when,
-                                                Priority.BACKGROUND, "inject"))
-
-        self.loop.schedule(at, fire)
-        self.loop.run()
-        return results[0]
+        self.loop.advance(at)
+        return self.run_disk_phases(ops, at, Priority.BACKGROUND, "inject")
 
     def utilisation(self, duration: float) -> dict[str, float]:
         """Per-device busy fractions over ``duration`` (bottleneck finder).

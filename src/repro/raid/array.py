@@ -24,6 +24,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +39,13 @@ class OpKind(Enum):
     Q_PARITY = "q"
 
 
-@dataclass(frozen=True)
-class DiskOp:
-    """One member-disk page operation."""
+class DiskOp(NamedTuple):
+    """One member-disk page operation.
+
+    A ``NamedTuple``: immutable, compared by value, and several times
+    cheaper to build than a frozen dataclass — a one-page RAID-5 write
+    builds four.
+    """
 
     disk: int
     disk_page: int
