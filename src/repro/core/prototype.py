@@ -28,6 +28,7 @@ from ..delta.codec import DeltaCodec, mutate_page
 from ..delta.packer import DELTA_HEADER_BYTES
 from ..errors import CacheError, ConfigError
 from ..flash.device import SSD
+from ..flash.geometry import FlashGeometry
 from ..nvram.metabuffer import PageState
 from ..nvram.staging import StagingBuffer
 from ..raid.array import RAIDArray
@@ -76,7 +77,10 @@ class KDDDataPath:
         self.sets = CacheSets(cache_pages, ways=ways,
                               group_pages=raid.layout.stripe_data_pages)
         self.ssd = SSD(
-            capacity_bytes=int(cache_pages * page_size / 0.9) + (1 << 20),
+            geometry=FlashGeometry.for_capacity(
+                int(cache_pages * page_size / 0.9) + (1 << 20),
+                page_size=page_size,
+            ),
             store_data=True,
         )
         self.staging = StagingBuffer(staging_bytes or page_size)

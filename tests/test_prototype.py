@@ -124,6 +124,18 @@ class TestDataPath:
             ratios.append(p.mean_delta_ratio)
         assert ratios[0] < ratios[1]  # 5% change compresses far better
 
+    def test_device_pages_are_the_cache_page_size(self):
+        # 40,960 512-byte cache pages need more device pages than a
+        # device of 4 KiB pages holding the same bytes exports.
+        raid = RAIDArray(RaidLevel.RAID5, ndisks=5, chunk_pages=16,
+                         pages_per_disk=65536, page_size=512,
+                         store_data=True)
+        p = KDDDataPath(raid=raid, cache_pages=40960, page_size=512)
+        assert p.ssd.page_size == 512
+        assert p.ssd.capacity_pages >= 40960
+        for lba in range(0, 4096, 64):
+            assert p.read(lba) == b"\0" * 512
+
     def test_page_size_mismatch_rejected(self):
         raid = RAIDArray(RaidLevel.RAID5, ndisks=5, chunk_pages=4,
                          pages_per_disk=1024, page_size=128, store_data=True)
