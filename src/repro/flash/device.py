@@ -50,7 +50,9 @@ class SSD:
         store_data: bool = False,
     ) -> None:
         if geometry is None:
-            geometry = FlashGeometry.for_capacity(capacity_bytes or 1 * GiB)
+            geometry = FlashGeometry.for_capacity(
+                1 * GiB if capacity_bytes is None else capacity_bytes
+            )
         elif capacity_bytes is not None:
             raise ConfigError("pass either geometry or capacity_bytes, not both")
         self.geometry = geometry

@@ -121,6 +121,11 @@ class TestSSD:
         with pytest.raises(ConfigError):
             SSD(geometry=FlashGeometry(), capacity_bytes=GiB)
 
+    @pytest.mark.parametrize("capacity", [0, -5])
+    def test_nonpositive_capacity_rejected(self, capacity):
+        with pytest.raises(ConfigError, match="capacity must be positive"):
+            SSD(capacity_bytes=capacity)
+
     def test_write_traffic_counters(self):
         ssd = SSD(capacity_bytes=8 * MiB)
         for lpn in range(10):
