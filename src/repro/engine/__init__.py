@@ -2,7 +2,8 @@
 
 Layers (see DESIGN.md "Timing engine"):
 
-* :mod:`repro.engine.core` — deterministic event heap, typed op records;
+* :mod:`repro.engine.core` — the simulated clock, a deterministic event
+  heap, typed op records;
 * :mod:`repro.engine.resources` — device resources (HDD members, SSD
   cache), one FCFS clock each;
 * :mod:`repro.engine.hooks` — composable middleware: the fault

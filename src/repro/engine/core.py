@@ -149,13 +149,10 @@ class EventLoop:
         self._seq = 0
 
     def advance(self, time: float) -> None:
-        """Step ``now`` forward to ``time``, for work run at ``time``
-        without a heap round trip.
+        """Step ``now`` forward to ``time``, for work run there directly.
 
-        With an empty heap and sources submitting in arrival order,
-        this followed by the work itself is what scheduling the work at
-        ``time`` and running the heap does.  ``time`` must be finite and
-        >= 0, as for :meth:`schedule`.
+        ``time`` must be finite and >= 0, as for :meth:`schedule`; a
+        time behind the clock leaves ``now`` where it is.
         """
         _check_time(time)
         if time > self.now:
