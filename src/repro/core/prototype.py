@@ -52,8 +52,6 @@ class KDDDataPath:
         cache_pages: int = 1024,
         ways: int = 32,
         page_size: int = 4096,
-        staging_bytes: int | None = None,
-        codec_level: int = 1,
         dirty_limit: float = 0.5,
     ) -> None:
         if raid is None:
@@ -73,7 +71,7 @@ class KDDDataPath:
             raise ConfigError("dirty_limit must be in (0, 1]")
         self.raid = raid
         self.page_size = page_size
-        self.codec = DeltaCodec(level=codec_level)
+        self.codec = DeltaCodec()
         self.sets = CacheSets(cache_pages, ways=ways,
                               group_pages=raid.layout.stripe_data_pages)
         self.ssd = SSD(
@@ -83,7 +81,7 @@ class KDDDataPath:
             ),
             store_data=True,
         )
-        self.staging = StagingBuffer(staging_bytes or page_size)
+        self.staging = StagingBuffer(page_size)
         self.dez_payloads: dict[int, dict[int, bytes]] = {}  # lpn -> lba -> delta
         self.dirty_limit = dirty_limit
         self.read_hits = 0

@@ -140,11 +140,5 @@ def recover_from_hdd_failure(
     """A member disk died: repair parity first, then rebuild the member."""
     kdd.raid.fail_disk(disk)
     # flush every delayed parity using the cache's deltas (Section III-E2)
-    from ..cache.base import Outcome
-
-    sink = Outcome(hit=False, is_read=False)
-    while kdd._stale_order:
-        stripe = next(iter(kdd._stale_order))
-        del kdd._stale_order[stripe]
-        kdd._clean_stripe(stripe, sink)
+    kdd.finish()
     return rebuild_disk(kdd.raid, disk, keep_ops=keep_ops)

@@ -30,7 +30,6 @@ class GaussianDeltaModel:
         page_size: int = 4096,
         seed: int = 0,
         min_ratio: float = 0.02,
-        max_ratio: float = 1.0,
     ) -> None:
         if not 0.0 < mean <= 1.0:
             raise ConfigError("mean compression ratio must be in (0, 1]")
@@ -38,13 +37,12 @@ class GaussianDeltaModel:
             sigma = mean / 4.0
         if sigma < 0:
             raise ConfigError("sigma must be >= 0")
-        if not 0.0 <= min_ratio <= max_ratio <= 1.0:
-            raise ConfigError("need 0 <= min_ratio <= max_ratio <= 1")
+        if not 0.0 <= min_ratio <= 1.0:
+            raise ConfigError("need 0 <= min_ratio <= 1")
         self.mean = mean
         self.sigma = sigma
         self.page_size = page_size
         self.min_ratio = min_ratio
-        self.max_ratio = max_ratio
         self._rng = np.random.default_rng(seed)
         # Draws are buffered in blocks: Generator.normal(m, s, size=N)
         # consumes the bit stream exactly like N scalar calls, so the
@@ -74,7 +72,7 @@ class GaussianDeltaModel:
             self._buf_pos = 0
         r = self._buf[self._buf_pos]
         self._buf_pos += 1
-        return float(min(self.max_ratio, max(self.min_ratio, r)))
+        return float(min(1.0, max(self.min_ratio, r)))
 
     def sample_size(self) -> int:
         """One delta size in bytes (at least 1)."""

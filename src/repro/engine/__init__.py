@@ -6,8 +6,8 @@ Layers (see DESIGN.md "Timing engine"):
   heap, typed op records;
 * :mod:`repro.engine.resources` — device resources (HDD members, SSD
   cache), one FCFS clock each;
-* :mod:`repro.engine.hooks` — composable middleware: the fault
-  pipeline, op-level instrumentation and stale-stripe exposure;
+* :mod:`repro.engine.hooks` — the hook protocol and its hooks: the
+  fault pipeline, op-level instrumentation and stale-stripe exposure;
 * :mod:`repro.engine.system` — :class:`SimEngine`, the timed system:
   the request pipeline and its :class:`TimingReport`.
 

@@ -1,14 +1,15 @@
-"""Composable engine middleware: faults and instrumentation as hooks.
+"""Engine hooks: faults and instrumentation as callbacks.
 
 The engine exposes a small hook protocol (:class:`EngineHook`);
-cross-cutting behaviour is a *stack* of hooks installed on one engine:
+cross-cutting behaviour is a list of hooks installed on one engine and
+called in installation order:
 
 * :class:`FaultPipelineHook` — the whole fault pipeline: scheduled
   whole-device failures, transparent retries, residual-fault escalation
   to degraded RAID reconstruction, on-demand stale-parity repair, and
-  the fault event log.  Member reads are wrapped middleware-style
-  (each hook can wrap the read handler the way WSGI middleware wraps an
-  application), so escalation composes with any other read wrapper.
+  the fault event log.  It sees each member read through
+  ``on_member_read`` and escalates a residual fault there, serving the
+  nested reconstruction and repair traffic itself.
 * :class:`InstrumentationHook` — op-level observability: per-op records
   (device, kind, arrival, start, finish, queue delay, residual fault),
   per-device utilisation timelines, queue-depth histograms, and JSONL
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right, insort
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigError, DegradedError
@@ -46,10 +47,6 @@ from .resources import ServiceWindow
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .system import SimEngine
 
-#: A member-read handler: serve one member-disk read submitted at
-#: ``earliest`` and return its (possibly escalated) service window.
-MemberReadHandler = Callable[[DiskOp, float, Priority, str], ServiceWindow]
-
 
 class EngineHook:
     """Base hook: every callback is a no-op.  Subclass what you need.
@@ -67,8 +64,9 @@ class EngineHook:
         before the policy interprets a foreground request (the only
         point where scheduled state changes — e.g. whole-device
         failures — may strike);
-    ``wrap_member_read``
-        middleware composition over the member-read handler;
+    ``on_member_read``
+        after each member read the request pipeline scheduled; returns
+        when the read is done (a fault escalation can make it later);
     ``on_member_write``
         after each member write the request pipeline scheduled;
     ``on_ssd_window``
@@ -83,10 +81,11 @@ class EngineHook:
     def on_request(self, engine: SimEngine, now: float) -> None:
         """A foreground request is about to be interpreted at ``now``."""
 
-    def wrap_member_read(self, engine: SimEngine,
-                         nxt: MemberReadHandler) -> MemberReadHandler:
-        """Return a handler wrapping ``nxt`` (default: unwrapped)."""
-        return nxt
+    def on_member_read(self, engine: SimEngine, op: DiskOp,
+                       window: ServiceWindow) -> float:
+        """A member read was served with ``window``; returns when it is
+        done (default: ``window.finish``)."""
+        return window.finish
 
     def on_member_write(self, engine: SimEngine, op: DiskOp,
                         window: ServiceWindow) -> None:
@@ -107,7 +106,7 @@ class EngineHook:
 
 
 class FaultPipelineHook(EngineHook):
-    """The fault pipeline as engine middleware.
+    """The fault pipeline as an engine hook.
 
     ``faults`` is a :class:`FaultConfig`, a ready :class:`FaultSchedule`
     or ``None`` (``FaultConfig()``, which injects nothing); ``retry`` is
@@ -133,9 +132,10 @@ class FaultPipelineHook(EngineHook):
       the next request is interpreted.
 
     Model simplifications, stated honestly: a fault on a multi-page
-    member op is attributed to the op's first page; faults drawn by the
-    nested reconstruction / repair traffic add their stall latency but
-    do not re-escalate (no recursive reconstruction).
+    member op is attributed to the op's first page; the nested
+    reconstruction / repair traffic bypasses the hooks, so its faults
+    add their stall latency but do not re-escalate (no recursive
+    reconstruction) and no hook sees its ops.
     """
 
     def __init__(
@@ -216,35 +216,33 @@ class FaultPipelineHook(EngineHook):
                 op.disk_page, detail="write stall (waited out)",
             )
 
-    # -- member reads: the escalation middleware -----------------------------
+    # -- member reads: the escalation point ----------------------------------
 
-    def wrap_member_read(self, engine: SimEngine,
-                         nxt: MemberReadHandler) -> MemberReadHandler:
-        def handler(op: DiskOp, earliest: float, priority: Priority,
-                    tag: str) -> ServiceWindow:
-            window = nxt(op, earliest, priority, tag)
-            self.counters.retries += window.retries
-            if window.ok:
-                return window
-            finish = self._escalate(engine, op, window)
-            # The caller only needs the effective completion; escalation
-            # resolved the fault, so the returned window is clean.
-            return ServiceWindow(start=window.start, finish=finish)
-
-        return handler
+    def on_member_read(self, engine: SimEngine, op: DiskOp,
+                       window: ServiceWindow) -> float:
+        self.counters.retries += window.retries
+        if window.ok:
+            return window.finish
+        return self._escalate(engine, op, window)
 
     def _serve_plain(self, engine: SimEngine, ops: Iterable[DiskOp],
                      earliest: float, tag: str,
                      priority: Priority = Priority.FOREGROUND) -> float:
-        """Serve nested repair traffic without re-escalation.
+        """Serve nested repair traffic without hooks; returns its finish.
 
-        Fault draws still advance the streams and their stalls still
-        count, but residual faults here do not recurse.
+        Every nested batch is one phase (reconstruction reads only,
+        parity or media repair writes only), so each op starts at
+        ``earliest``.  Fault draws still advance the streams and their
+        stalls still count, but residual faults here do not recurse.
         """
-        done, windows = engine.serve_plain_phases(ops, earliest,
-                                                 priority=priority, tag=tag)
-        for window in windows:
+        disks = engine.disks
+        done = earliest
+        for op in ops:
+            window = disks[op.disk].serve(op.disk_page, op.npages, op.is_read,
+                                          earliest, priority, tag)
             self.counters.retries += window.retries
+            if window.finish > done:
+                done = window.finish
         return done
 
     def _repair_stale_parity(self, engine: SimEngine, stripe: int,

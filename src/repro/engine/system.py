@@ -8,8 +8,9 @@ summarises a run as a :class:`TimingReport`.  Workload drivers
 (:mod:`repro.sim.openloop`, :mod:`repro.sim.closedloop`,
 :mod:`repro.sim.rebuild`) are *sources*: they decide what to submit and
 when, the engine resolves when it finishes.  Cross-cutting behaviour —
-fault escalation, instrumentation — hangs off the hook stack
-(:mod:`repro.engine.hooks`).  Every resource queues FCFS.
+fault escalation, instrumentation — hangs off the engine's hooks
+(:mod:`repro.engine.hooks`), called in installation order.  Every
+resource queues FCFS.
 
 Request semantics (Section IV-B of the paper, unchanged from the
 pre-engine implementation):
@@ -39,7 +40,7 @@ clocks (lookahead), which implements FCFS exactly for the same reason.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from ..cache.base import CachePolicy, Outcome
@@ -48,8 +49,8 @@ from ..raid.array import DiskOp
 from ..stats.latency import LatencyRecorder, LatencySummary
 from ..traces.record import IORequest
 from .core import EventLoop, Priority, RequestRecord
-from .hooks import EngineHook, MemberReadHandler
-from .resources import DiskResource, Resource, ServiceWindow, SSDResource
+from .hooks import EngineHook
+from .resources import DiskResource, Resource, SSDResource
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,6 @@ class SimEngine:
         self.ssd = SSDResource()
         self.recorder = LatencyRecorder()
         self.hooks: list[EngineHook] = []
-        self._member_read: MemberReadHandler = self._base_member_read
 
     # -- plumbing ------------------------------------------------------------
 
@@ -100,24 +100,11 @@ class SimEngine:
         yield self.ssd
 
     def add_hook(self, hook: EngineHook) -> None:
-        """Install ``hook`` and rebuild the member-read middleware chain.
-
-        The first hook added wraps closest to the device; later hooks
-        wrap around earlier ones.
-        """
+        """Install ``hook``; hooks run in installation order."""
         self.hooks.append(hook)
         hook.install(self)
-        handler: MemberReadHandler = self._base_member_read
-        for h in self.hooks:
-            handler = h.wrap_member_read(self, handler)
-        self._member_read = handler
 
     # -- device service ------------------------------------------------------
-
-    def _base_member_read(self, op: DiskOp, earliest: float,
-                          priority: Priority, tag: str) -> ServiceWindow:
-        return self.disks[op.disk].serve(op.disk_page, op.npages, True,
-                                         earliest, priority, tag)
 
     def serve_ssd(self, npages: int, is_read: bool, earliest: float,
                   priority: Priority = Priority.FOREGROUND,
@@ -136,23 +123,29 @@ class SimEngine:
                         tag: str = "fg") -> float:
         """Reads in parallel, then writes in parallel; returns finish time.
 
-        Reads go through the member-read middleware chain (fault
-        escalation lives there); writes notify the hooks afterwards.
-        One pass over ``ops`` serves the reads and sets the writes aside.
+        One pass over ``ops`` serves the reads and sets the writes
+        aside.  A read is done at the latest of its window's finish and
+        what each hook's ``on_member_read`` returns (fault escalation
+        lives there); each write notifies the hooks after it is served.
         """
-        member_read = self._member_read
+        disks = self.disks
+        hooks = self.hooks
         writes = []
         phase1_done = earliest
         for op in ops:
             if op.is_read:
-                finish = member_read(op, earliest, priority, tag).finish
+                window = disks[op.disk].serve(op.disk_page, op.npages, True,
+                                              earliest, priority, tag)
+                finish = window.finish
+                for hook in hooks:
+                    hook_finish = hook.on_member_read(self, op, window)
+                    if hook_finish > finish:
+                        finish = hook_finish
                 if finish > phase1_done:
                     phase1_done = finish
             else:
                 writes.append(op)
         done = phase1_done
-        disks = self.disks
-        hooks = self.hooks
         for op in writes:
             window = disks[op.disk].serve(op.disk_page, op.npages, False,
                                           phase1_done, priority, tag)
@@ -161,36 +154,6 @@ class SimEngine:
             if window.finish > done:
                 done = window.finish
         return done
-
-    def serve_plain_phases(
-        self, ops: Iterable[DiskOp], earliest: float,
-        priority: Priority = Priority.FOREGROUND, tag: str = "plain",
-    ) -> tuple[float, list[ServiceWindow]]:
-        """Two-phase service with *no* hook dispatch (nested traffic).
-
-        The fault pipeline serves its reconstruction / repair ops here
-        so they cannot recursively re-escalate or fire write hooks.
-        Returns the batch finish time and every service window (the
-        caller accounts retries).
-        """
-        writes = []
-        windows: list[ServiceWindow] = []
-        phase1_done = earliest
-        for op in ops:
-            if not op.is_read:
-                writes.append(op)
-                continue
-            window = self.disks[op.disk].serve(op.disk_page, op.npages, True,
-                                               earliest, priority, tag)
-            windows.append(window)
-            phase1_done = max(phase1_done, window.finish)
-        done = phase1_done
-        for op in writes:
-            window = self.disks[op.disk].serve(op.disk_page, op.npages, False,
-                                               phase1_done, priority, tag)
-            windows.append(window)
-            done = max(done, window.finish)
-        return done, windows
 
     # -- the request pipeline ------------------------------------------------
 

@@ -22,7 +22,7 @@ first time its clock passes the instant.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -89,7 +89,7 @@ class FaultEvent:
 
     time: float
     device: str
-    kind: str          # FaultKind value, or a repair action (see timed.py)
+    kind: str          # FaultKind value, or a repair action (see engine/hooks.py)
     page: int = -1     # device page the event concerns (-1: whole device)
     detail: str = ""
 
@@ -204,7 +204,6 @@ class FaultCounters:
     stale_escalations: int = 0
     repairs: int = 0
     device_failures: int = 0
-    extra: dict[str, int] = field(default_factory=dict)
 
     def row(self) -> dict[str, int]:
         return {

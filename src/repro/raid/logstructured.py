@@ -30,11 +30,13 @@ FREE = -1
 class LogStructuredRaid:
     """RAID-5 with out-of-place full-stripe writes and segment cleaning."""
 
+    #: Free stripes the cleaner keeps after each full-stripe write.
+    GC_FREE_STRIPES = 2
+
     def __init__(
         self,
         array: RAIDArray,
         reserve_stripes: int | None = None,
-        gc_free_stripes: int = 2,
     ) -> None:
         if array.level is not RaidLevel.RAID5:
             raise ConfigError("log-structured writes implemented for RAID-5")
@@ -46,10 +48,9 @@ class LogStructuredRaid:
         self.total_stripes = layout.pages_per_disk // layout.chunk_pages
         if reserve_stripes is None:
             reserve_stripes = max(2, self.total_stripes // 8)
-        if reserve_stripes + gc_free_stripes >= self.total_stripes:
+        if reserve_stripes + self.GC_FREE_STRIPES >= self.total_stripes:
             raise ConfigError("array too small for the requested reserve")
         self.reserve_stripes = reserve_stripes
-        self.gc_free_stripes = gc_free_stripes
         #: logical capacity exposed to callers (pages)
         self.exported_pages = (self.total_stripes - reserve_stripes) * self.stripe_pages
 
@@ -163,7 +164,7 @@ class LogStructuredRaid:
         self.full_stripe_writes += 1
 
         self._open_next_stripe()
-        while self.free_stripes < self.gc_free_stripes:
+        while self.free_stripes < self.GC_FREE_STRIPES:
             more = self._clean_once()
             if more is None:
                 break

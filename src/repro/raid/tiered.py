@@ -44,7 +44,6 @@ class TieredRaid:
         self,
         parity_array: RAIDArray,
         mirror_pages: int,
-        mirror_ndisks: int = 2,
         promote_on_write: bool = True,
     ) -> None:
         if parity_array.level is not RaidLevel.RAID5:
@@ -55,7 +54,7 @@ class TieredRaid:
         self.mirror_capacity = mirror_pages
         self.hot = RAIDArray(
             RaidLevel.RAID1,
-            ndisks=mirror_ndisks,
+            ndisks=2,
             chunk_pages=parity_array.layout.chunk_pages,
             pages_per_disk=mirror_pages,
             page_size=parity_array.page_size,

@@ -20,7 +20,7 @@ seed and the tenant id (:func:`substream_seed`), so
 
 Tenant address spaces are disjoint: tenant *i* owns
 ``[base_i, base_i + universe_pages_i)`` with bases aligned to
-``align_pages`` (default: one RAID stripe group), so per-tenant page
+:data:`ALIGN_PAGES` (one RAID stripe group), so per-tenant page
 populations never share a parity stripe.
 """
 
@@ -46,6 +46,9 @@ __all__ = ["ComposedBatch", "WorkloadComposer", "substream_seed"]
 #: mistyped duration or epoch (120 s of 1e-7 s epochs is 1.2 billion
 #: epochs), so it is refused rather than run for hours.
 MAX_EPOCHS = 1_000_000
+
+#: Tenant base alignment in pages: one RAID stripe group.
+ALIGN_PAGES = 64
 
 
 def substream_seed(composer_seed: int, tenant_id: str) -> int:
@@ -88,7 +91,6 @@ class WorkloadComposer:
         tenants: Sequence[TenantSpec],
         seed: int = 0,
         epoch_s: float = 60.0,
-        align_pages: int = 64,
     ) -> None:
         if not tenants:
             raise ConfigError(
@@ -106,10 +108,6 @@ class WorkloadComposer:
                 f"WorkloadComposer.epoch_s must be positive and finite, "
                 f"got {epoch_s}"
             )
-        if align_pages < 1:
-            raise ConfigError(
-                f"WorkloadComposer.align_pages must be >= 1, got {align_pages}"
-            )
         self.tenants = tuple(tenants)
         self.seed = seed
         self.epoch_s = float(epoch_s)
@@ -118,7 +116,7 @@ class WorkloadComposer:
         base = 0
         for spec in self.tenants:
             bases.append(base)
-            base += -(-spec.universe_pages // align_pages) * align_pages
+            base += -(-spec.universe_pages // ALIGN_PAGES) * ALIGN_PAGES
         self._bases = tuple(bases)
         self._total_pages = base
         # Zipf CDFs are shared across tenants with the same (universe,

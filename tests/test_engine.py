@@ -157,23 +157,56 @@ def test_fcfs_queues_behind_the_device():
     assert w3.start == w2.finish + 1.0  # idle gap honoured
 
 
+def _reads_and_writes(instr):
+    return ([op for op in instr.ops if op.kind == "read"],
+            [op for op in instr.ops if op.kind == "write"])
+
+
 @pytest.mark.parametrize("as_iterator", [False, True])
 def test_two_phase_service_reads_before_writes(as_iterator):
     ops = [DiskOp(1, 8, 1, False), DiskOp(0, 0, 1, True),
            DiskOp(2, 64, 1, True), DiskOp(0, 0, 1, False)]
-
-    def batch():
-        return iter(ops) if as_iterator else ops
-
-    done, windows = make_system().serve_plain_phases(batch(), 0.0)
-    reads, writes = windows[:2], windows[2:]
+    system, instr = make_system(), InstrumentationHook()
+    system.add_hook(instr)
+    done = system.run_disk_phases(iter(ops) if as_iterator else ops, 0.0)
+    reads, writes = _reads_and_writes(instr)
+    assert len(reads) == 2
     assert len(writes) == 2  # a one-shot iterator yields its writes too
     phase1 = max(w.finish for w in reads)
     assert all(w.start == 0.0 for w in reads)
     assert all(w.start >= phase1 for w in writes)
     assert done == max(w.finish for w in writes)
-    # the hooked path times the same batch identically
-    assert make_system().run_disk_phases(batch(), 0.0) == done
+
+
+class _LateReadHook(EngineHook):
+    """Reports every member read as done one second after its window."""
+
+    def on_member_read(self, engine, op, window):
+        return window.finish + 1.0
+
+
+@pytest.mark.parametrize("hook,delay", [(EngineHook(), 0.0),
+                                        (_LateReadHook(), 1.0)])
+def test_on_member_read_delays_the_write_phase(hook, delay):
+    ops = [DiskOp(0, 0, 1, True), DiskOp(2, 64, 1, True),
+           DiskOp(1, 8, 1, False), DiskOp(3, 8, 1, False)]
+    plain, plain_instr = make_system(), InstrumentationHook()
+    plain.add_hook(plain_instr)
+    plain_done = plain.run_disk_phases(ops, 0.0)
+    hooked, instr = make_system(), InstrumentationHook()
+    hooked.add_hook(instr)
+    hooked.add_hook(hook)
+    done = hooked.run_disk_phases(ops, 0.0)
+
+    plain_reads, plain_writes = _reads_and_writes(plain_instr)
+    reads, writes = _reads_and_writes(instr)
+    assert reads == plain_reads  # the hook moves no read
+    phase1 = max(op.finish for op in plain_reads)
+    assert [op.submitted for op in writes] == [phase1 + delay] * 2
+    if delay:
+        assert done == pytest.approx(plain_done + delay, rel=0, abs=1e-12)
+    else:
+        assert writes == plain_writes and done == plain_done
 
 
 # ---------------------------------------------------------------- fault-free path

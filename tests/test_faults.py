@@ -16,7 +16,12 @@ from pathlib import Path
 import pytest
 
 from repro.cache import CacheConfig
-from repro.engine import FaultPipelineHook, SimEngine
+from repro.engine import (
+    EngineHook,
+    FaultPipelineHook,
+    InstrumentationHook,
+    SimEngine,
+)
 from repro.engine.resources import DiskResource
 from repro.errors import ConfigError, DegradedError, FaultError, MediaError
 from repro.faults import (
@@ -345,6 +350,47 @@ class TestFaultyTimedSystem:
             system.submit_request(req)
         assert 1 in raid.failed_disks
         assert not raid.stale_stripes
+
+    @pytest.mark.parametrize("counting_first", [False, True])
+    def test_hooks_never_see_nested_traffic(self, counting_first):
+        """Reconstruction and repair ops bypass every hook; the other
+        hooks see exactly the member ops the request pipeline served,
+        whichever side of the fault pipeline they are installed on."""
+
+        class Counting(EngineHook):
+            def __init__(self):
+                self.seen = []
+
+            def on_member_read(self, engine, op, window):
+                self.seen.append((f"disk{op.disk}", "read", window.start,
+                                  window.finish))
+                return window.finish
+
+            def on_member_write(self, engine, op, window):
+                self.seen.append((f"disk{op.disk}", "write", window.start,
+                                  window.finish))
+
+        raid = make_array()
+        system = SimEngine(build_policy(
+            "kdd", CacheConfig(cache_pages=64, ways=16, group_pages=16), raid))
+        faults = FaultPipelineHook(
+            FaultConfig(seed=7, ure_rate=0.02, timeout_rate=0.02))
+        counting, instr = Counting(), InstrumentationHook()
+        hooks = [counting, faults] if counting_first else [faults, counting]
+        for hook in (instr, *hooks):
+            system.add_hook(hook)
+        for req in uniform_workload(300, 4096, seed=3):
+            system.submit_request(req)
+
+        assert faults.counters.reconstructions > 0
+        assert faults.counters.repairs > 0
+        disk_ops = [op for op in instr.ops if op.device.startswith("disk")]
+        nested = [op for op in disk_ops if op.tag in ("reconstruct", "repair")]
+        assert {op.tag for op in nested} == {"reconstruct", "repair"}
+        served = [(op.device, op.kind, op.start, op.finish)
+                  for op in disk_ops if op.tag in ("fg", "bg")]
+        assert len(served) + len(nested) == len(disk_ops)
+        assert counting.seen == served
 
     def test_ssd_timeouts_are_waited_out(self):
         _, system, faults = make_timed(

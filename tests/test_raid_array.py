@@ -150,12 +150,19 @@ class TestDelayedParity:
         assert stripe not in arr.stale_stripes
 
     def test_parity_update_rcw_when_all_cached(self):
-        arr = r5(chunk_pages=1)
-        arr.write_without_parity_update(0)
-        stripe = arr.layout.stripe_of(0)
-        all_pages = list(arr.layout.stripe_pages(stripe))
-        ops = arr.parity_update(stripe, cached_pages=all_pages)
-        assert not any(o.is_read for o in ops)  # reconstruct-write: writes only
+        """Reconstruct-write is parity writes only: the fault pipeline's
+        stale-parity repair serves it as one phase."""
+        for level in (RaidLevel.RAID5, RaidLevel.RAID6):
+            for chunk_pages in (1, 4):
+                arr = RAIDArray(level, ndisks=5, chunk_pages=chunk_pages,
+                                pages_per_disk=64, page_size=64)
+                arr.write_without_parity_update(0)
+                stripe = arr.layout.stripe_of(0)
+                all_pages = list(arr.layout.stripe_pages(stripe))
+                ops = arr.parity_update(stripe, cached_pages=all_pages)
+                assert ops and not any(o.is_read for o in ops)
+                assert {o.kind for o in ops} <= {OpKind.PARITY,
+                                                 OpKind.Q_PARITY}
 
     def test_parity_update_noop_when_not_stale(self):
         arr = r5()
@@ -241,6 +248,24 @@ class TestFailures:
     def test_rebuild_nonfailed_disk_rejected(self):
         with pytest.raises(DegradedError):
             rebuild_disk(r5(), 0)
+
+    @pytest.mark.parametrize("level,ndisks,roles", [
+        (RaidLevel.RAID1, 2, {OpKind.DATA}),
+        (RaidLevel.RAID5, 5, {OpKind.DATA, OpKind.PARITY}),
+        (RaidLevel.RAID6, 6, {OpKind.DATA, OpKind.PARITY, OpKind.Q_PARITY}),
+    ])
+    def test_reconstruct_read_ops_are_reads_only(self, level, ndisks, roles):
+        """Every unit is reconstructed by reads alone, so the fault
+        pipeline serves a reconstruction as one phase."""
+        arr = RAIDArray(level, ndisks=ndisks, chunk_pages=4,
+                        pages_per_disk=64, page_size=64)
+        seen = set()
+        for disk in range(ndisks):
+            for disk_page in range(2 * ndisks * 4):  # 2 x ndisks stripes
+                seen.add(arr.member_page_role(disk, disk_page)[1])
+                ops = arr.reconstruct_read_ops(disk, disk_page)
+                assert ops and all(o.is_read for o in ops)
+        assert seen == roles
 
 
 class TestRaid1:
